@@ -7,7 +7,9 @@ the inference shapes that dominate serving -- a single predict, a full
 fresh-request ``determine_batch`` decision pipeline (grid-compiled
 descent + array-form Eq. 4 against the PR 2 object pipeline), and
 micro-batched trace serving -- plus the Gaussian Process rank-1 Cholesky
-update against full refits and the fused Matern 5/2 kernel build.
+update against full refits, the fused Matern 5/2 kernel build, and the
+solo ``determine`` BO loop (one forest pass and a cached candidate Gram)
+against a per-probe reference loop.
 
 Results are printed and merged into ``BENCH_inference.json`` (repo root
 by default) under a per-``(engine, mode)`` slot, so the committed file
@@ -45,9 +47,14 @@ from repro.core.features import FEATURE_NAMES, FeatureVector  # noqa: E402
 from repro.core.predictor import PredictionRequest, WorkloadPredictor  # noqa: E402
 from repro.cloud.pool import PoolConfig  # noqa: E402
 from repro.core.serving import ServingSimulator  # noqa: E402
-from repro.core.tradeoff import EstimatedTimeEntry, select_with_knob  # noqa: E402
+from repro.core.tradeoff import (  # noqa: E402
+    DecisionGrid,
+    EstimatedTimeEntry,
+    select_with_knob,
+)
 from repro.ml.dataset import Dataset  # noqa: E402
 from repro.ml import forest_native  # noqa: E402
+from repro.ml.bayesian_optimizer import BayesianOptimizer  # noqa: E402
 from repro.ml.forest_native import kernel_name  # noqa: E402
 from repro.ml.gaussian_process import GaussianProcessRegressor  # noqa: E402
 from repro.ml.kernels import Matern52Kernel  # noqa: E402
@@ -199,6 +206,133 @@ def bench_gp(n_points: int) -> dict:
     }
 
 
+class _PerProbeOptimizer(BayesianOptimizer):
+    """Conditions the surrogate on candidate rows, building the Matern
+    kernel on every update -- the optimizer before its cached Gram."""
+
+    def __init__(self, *args, **kwargs):  # noqa: D107
+        super().__init__(*args, **kwargs)
+        self._index_points = self.candidates
+        self._surrogate = GaussianProcessRegressor(
+            kernel=Matern52Kernel(self._default_length_scale(self.candidates)),
+            noise=1e-2,
+        )
+
+
+def _per_probe_determine(
+    predictor: WorkloadPredictor,
+    request: PredictionRequest,
+    max_vm: int,
+    max_sl: int,
+    knob: float = 0.0,
+) -> tuple:
+    """Solo ``determine`` as a per-probe loop: one forest call per probe,
+    a kernel build per surrogate update, a batched re-predict of the
+    probes.  Returns what the bench compares against ``determine``."""
+    candidates = predictor.candidate_grid("hybrid", max_vm=max_vm, max_sl=max_sl)
+
+    def objective(point):
+        predicted = predictor.predict_duration(
+            request.feature_vector(int(point[0]), int(point[1]))
+        )
+        delta = predictor._rng.normal(0.0, 0.01 * max(predicted, 1.0))
+        return -(predicted + delta)
+
+    result = _PerProbeOptimizer(
+        objective=objective,
+        candidates=candidates,
+        acquisition=predictor.acquisition,
+        n_initial=min(4, candidates.shape[0]),
+        improvement_threshold=predictor.bo_improvement_threshold,
+        patience=predictor.bo_patience,
+        rng=predictor._rng,
+    ).maximize(max_iterations=60)
+    points = np.array(
+        [probe.point for probe in result.history] + [result.best_point]
+    )
+    seconds = predictor.predict_durations(request.feature_matrix(points))
+    costs = predictor.estimate_costs(seconds, points)
+    grid = DecisionGrid(points[:-1], seconds[:-1], costs[:-1])
+    index = grid.select_index_with_knob(float(seconds[-1]), float(costs[-1]), knob)
+    chosen = len(grid) if index is None else index
+    return (
+        tuple(np.vstack([grid.candidates, points[-1:]])[chosen]),
+        float(seconds[-1]),
+        result.n_evaluations,
+        result.converged,
+        _grid_bytes(grid),
+    )
+
+
+def _grid_bytes(grid: DecisionGrid) -> bytes:
+    return grid.candidates.tobytes() + grid.seconds.tobytes() + grid.costs.tobytes()
+
+
+def _decision_signature(decision) -> tuple:
+    return (
+        (float(decision.n_vm), float(decision.n_sl)),
+        decision.best_entry.estimated_seconds,
+        decision.n_evaluations,
+        decision.converged,
+        _grid_bytes(decision.grid),
+    )
+
+
+def bench_solo_determine(
+    predictor: WorkloadPredictor, n_queries: int, repeats: int
+) -> dict:
+    """Solo ``determine`` on the 9x9 and 13x13 hybrid grids: the
+    table-driven BO loop vs the per-probe reference, decisions (and the
+    generator's end state) asserted bitwise equal first."""
+    requests = [
+        PredictionRequest(
+            query_id=f"q{i}",
+            input_size_gb=80.0 + 5.0 * i,
+            start_time_epoch=2000.0 + i,
+            historical_duration_s=110.0 + i,
+            num_waiting_apps=i,
+        )
+        for i in range(n_queries)
+    ]
+    sections = {}
+    for name, bound in (("grid_9x9", 8), ("grid_13x13", 12)):
+
+        def table_driven():
+            return [
+                _decision_signature(
+                    predictor.determine(request, max_vm=bound, max_sl=bound)
+                )
+                for request in requests
+            ]
+
+        def per_probe():
+            return [
+                _per_probe_determine(predictor, request, bound, bound)
+                for request in requests
+            ]
+
+        state = predictor._rng.bit_generator.state
+        table = table_driven()
+        table_state = predictor._rng.bit_generator.state
+        predictor._rng.bit_generator.state = state
+        reference = per_probe()
+        identical = (
+            table == reference
+            and predictor._rng.bit_generator.state == table_state
+        )
+        assert identical, f"solo_determine {name}: decisions diverged"
+        table_s = best_of(table_driven, repeats)
+        reference_s = best_of(per_probe, repeats)
+        sections[name] = {
+            "per_probe_ms": reference_s * 1e3 / n_queries,
+            "table_ms": table_s * 1e3 / n_queries,
+            "determine_speedup": reference_s / table_s,
+            "identical": identical,
+        }
+    sections["n_requests"] = n_queries
+    return sections
+
+
 def bench_submit_many(n_arrivals: int, quick: bool) -> dict:
     """End-to-end ``submit_many`` on a bursty arrival batch.
 
@@ -258,17 +392,17 @@ def bench_submit_many(n_arrivals: int, quick: bool) -> dict:
     packed_wall, packed_decide, packed_predicted = serve(build_system())
     # The loop leg must take the seed path end to end: per-tree Python
     # descent AND no grid-compiled engine (determine_batch would
-    # otherwise bypass _tree_matrix entirely).
+    # otherwise bypass tree_matrix entirely).
     from repro.ml.grid_inference import GridPack
 
-    original = RandomForestRegressor._tree_matrix
+    original = RandomForestRegressor.tree_matrix
     original_available = GridPack.available
-    RandomForestRegressor._tree_matrix = RandomForestRegressor._tree_matrix_loop
+    RandomForestRegressor.tree_matrix = RandomForestRegressor._tree_matrix_loop
     GridPack.available = staticmethod(lambda: False)
     try:
         loop_wall, loop_decide, loop_predicted = serve(build_system())
     finally:
-        RandomForestRegressor._tree_matrix = original
+        RandomForestRegressor.tree_matrix = original
         GridPack.available = staticmethod(original_available)
     assert packed_predicted == loop_predicted, "engines disagreed end-to-end"
 
@@ -648,6 +782,7 @@ def main(argv: list[str] | None = None) -> int:
         strict=not args.quick and engine == "native-c",
     )
     results["decision_cache"] = bench_decision_cache(predictor, n_queries, repeats)
+    results["solo_determine"] = bench_solo_determine(predictor, n_queries, repeats)
     results["submit_many"] = bench_submit_many(n_queries, args.quick)
     results["batched_serving"] = bench_batched_serving(args.quick)
 

@@ -53,6 +53,9 @@ _SPEEDUP_KEYS = (
     # covers the best-over-planner cost ratio).
     "warm_start_uplift",
     "queueing_improvement",
+    # bench_inference: solo determine, table-driven vs per-probe loop
+    # (per grid under solo_determine).
+    "determine_speedup",
 )
 
 

@@ -471,6 +471,21 @@ class _OpenSegment:
     ready_at: float | None = None
 
 
+def _drop_holder_hooks(lease: "PoolLease") -> None:
+    """Forget a finished lease's holder callbacks.
+
+    A released or revoked lease is never granted, handed a worker or
+    revoked again, so its hooks are dead.  They are bound methods of
+    the holder, which keeps the lease in turn; dropping them breaks
+    that cycle, so a finished query's state is freed by reference
+    counting instead of waiting for the cyclic collector.
+    """
+    lease.on_instance_ready = None
+    lease.on_granted = None
+    lease.on_revoked = None
+    lease.on_preempt = None
+
+
 class PoolLease:
     """One query's tenancy in the pool.
 
@@ -1656,6 +1671,8 @@ class ClusterPool:
         for instance in list(lease.active_instances):
             if lease.is_active(instance):
                 self.release_instance(lease, instance)
+        if lease.is_granted:
+            _drop_holder_hooks(lease)
 
     def cancel_pending_boot(self, lease: PoolLease, instance: Instance) -> None:
         """Cancel an instance's not-yet-fired boot event.
@@ -1958,6 +1975,7 @@ class ClusterPool:
             self._note_shard_fault(shard)
         if lease.on_revoked is not None:
             lease.on_revoked(reason)
+        _drop_holder_hooks(lease)
         self._pump()
 
     def _segment_cost(

@@ -7,9 +7,14 @@ Optimizer navigates the ``{nVM, nSL}`` search space by maximising
 Probability-of-Improvement acquisition, stopping when the estimate has not
 improved by 1 % for 10 consecutive searches.
 
-Every candidate the optimizer touches lands in the Estimated Time list
-(``ET_l``); when the cost-performance knob is set, Eq. 4 is solved over
-that list (:mod:`repro.core.tradeoff`).
+The candidate grid is fixed per mode and quota bounds, so the search is
+table-driven: one forest pass at the start of a determination yields
+every candidate's ``RF_t``, the optimizer's objective reads that table
+(drawing the Eq. 2 noise per probe), and the GP surrogate reads a
+memoized Matern Gram over the grid.  Every candidate the optimizer
+touches lands in the Estimated Time list (``ET_l``); when the
+cost-performance knob is set, Eq. 4 is solved over that list
+(:mod:`repro.core.tradeoff`).
 
 The module is deliberately self-contained -- it consumes only features and
 a price book -- so other SEDA systems can use it as an external prediction
@@ -139,6 +144,17 @@ class ConfigDecision:
         )
 
 
+def _objective_table(trees: np.ndarray) -> list[float]:
+    """Per-candidate ``RF_t`` from a ``(n_trees, n_candidates)`` matrix.
+
+    Each candidate's trees are summed as one contiguous row -- the
+    pairwise sum a single-row predict performs -- so entry ``i`` equals
+    :meth:`WorkloadPredictor.predict_duration` on candidate ``i``'s
+    feature vector bit for bit.
+    """
+    return np.ascontiguousarray(trees.T).mean(axis=1).tolist()
+
+
 class WorkloadPredictor:
     """RF + BO workload prediction over the hybrid configuration space.
 
@@ -209,13 +225,17 @@ class WorkloadPredictor:
         self.known_queries: set[str] = set()
         self.model_version = 0
         self.training_set_size = 0
-        # Hot-path caches: the candidate grid per mode, the Eq. 4 rate
+        # Hot-path caches: the candidate grid per mode with its BO
+        # surrogate Gram and (nVM, nSL) -> row map, the Eq. 4 rate
         # constants (the price book is fixed at construction -- `prices`
         # is a read-only property so the hoist cannot silently go stale),
         # and the per-model-version decision memo used by determine_batch
         # (two-touch admission: a key is memoized on its second miss, so
         # never-repeated requests cannot pollute the cache).
         self._grid_cache: dict[tuple[str, int, int], np.ndarray] = {}
+        self._gram_cache: dict[
+            tuple[str, int, int], tuple[np.ndarray, np.ndarray]
+        ] = {}
         self._vm_rate = (
             prices.vm_per_second
             + prices.vm_burst_per_second
@@ -391,21 +411,28 @@ class WorkloadPredictor:
     # ------------------------------------------------------------------
 
     def _effective_bounds(
-        self, max_vm: int | None, max_sl: int | None
+        self, max_vm: int | None, max_sl: int | None, mode: str = "hybrid"
     ) -> tuple[int, int]:
         """Clamp caller-supplied search bounds to the configured grid.
 
         Tenant quotas (``TenantSpec.max_leased_vms`` / ``max_leased_sls``)
         arrive here as *caps*: they can only shrink the search space, never
-        widen it.  ``None`` means no override.  A cap pair that would leave
-        no worker at all is ignored -- an unsatisfiable quota must degrade
-        to the unconstrained search, not an empty grid.
+        widen it.  ``None`` means no override.  Caps that would leave the
+        mode's grid without a worker -- both axes at zero, or the only
+        axis of a single-axis mode -- are ignored: an unsatisfiable quota
+        must degrade to the unconstrained search, not an empty grid.
         """
         eff_vm = self.max_vm if max_vm is None else min(self.max_vm, int(max_vm))
         eff_sl = self.max_sl if max_sl is None else min(self.max_sl, int(max_sl))
         eff_vm = max(eff_vm, 0)
         eff_sl = max(eff_sl, 0)
-        if eff_vm + eff_sl == 0:
+        if mode == "vm-only":
+            usable = eff_vm
+        elif mode == "sl-only":
+            usable = eff_sl
+        else:
+            usable = eff_vm + eff_sl
+        if usable == 0:
             return (self.max_vm, self.max_sl)
         return (eff_vm, eff_sl)
 
@@ -427,7 +454,7 @@ class WorkloadPredictor:
         """
         if mode not in _MODES:
             raise ValueError(f"unknown mode {mode!r}; choose from {_MODES}")
-        eff_vm, eff_sl = self._effective_bounds(max_vm, max_sl)
+        eff_vm, eff_sl = self._effective_bounds(max_vm, max_sl, mode)
         key = (mode, eff_vm, eff_sl)
         grid = self._grid_cache.get(key)
         if grid is None:
@@ -446,6 +473,29 @@ class WorkloadPredictor:
             self._grid_cache[key] = grid
         return grid
 
+    def _search_tables(
+        self, mode: str, max_vm: int, max_sl: int
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The BO surrogate Gram and ``(nVM, nSL) -> row`` map of a grid.
+
+        Both depend only on the candidate grid (the surrogate's length
+        scale is a function of its extent), so they are built once per
+        ``(mode, effective bounds)`` and memoized read-only next to the
+        grid itself.  ``max_vm`` / ``max_sl`` are effective bounds.
+        """
+        key = (mode, max_vm, max_sl)
+        tables = self._gram_cache.get(key)
+        if tables is None:
+            candidates = self.candidate_grid(mode, max_vm=max_vm, max_sl=max_sl)
+            gram = BayesianOptimizer.candidate_gram(candidates)
+            row_of = np.full((max_vm + 1, max_sl + 1), -1, dtype=np.intp)
+            n_vm, n_sl = candidates.astype(np.intp).T
+            row_of[n_vm, n_sl] = np.arange(candidates.shape[0])
+            gram.setflags(write=False)
+            row_of.setflags(write=False)
+            tables = self._gram_cache[key] = (gram, row_of)
+        return tables
+
     def determine(
         self,
         request: PredictionRequest,
@@ -462,15 +512,29 @@ class WorkloadPredictor:
         tradeoff knob (Eq. 4) when requested.  ``max_vm`` / ``max_sl``
         cap the candidate search below the predictor's bounds (tenant
         quota caps; see :meth:`candidate_grid`).
+
+        The loop is table-driven: one forest pass over the whole grid
+        precedes it, each probe reads its candidate's ``RF_t`` from that
+        pass and adds the Eq. 2 noise, and the surrogate conditions on a
+        memoized candidate Gram.  The decision is bitwise the one a
+        per-probe forest call and kernel build would produce.
         """
         if not self.is_trained:
             raise RuntimeError("the prediction model has not been trained")
         started = time.perf_counter()
-        candidates = self.candidate_grid(mode, max_vm=max_vm, max_sl=max_sl)
+        eff_vm, eff_sl = self._effective_bounds(max_vm, max_sl, mode)
+        candidates = self.candidate_grid(mode, max_vm=eff_vm, max_sl=eff_sl)
+        gram, row_of = self._search_tables(mode, eff_vm, eff_sl)
+        trees = self._grid_tree_matrix(
+            [request], mode, candidates, eff_vm, eff_sl
+        )
+        table = _objective_table(trees)
+        probed: list[int] = []
 
         def objective(point: np.ndarray) -> float:
-            n_vm, n_sl = int(point[0]), int(point[1])
-            predicted = self.predict_duration(request.feature_vector(n_vm, n_sl))
+            index = int(row_of[int(point[0]), int(point[1])])
+            probed.append(index)
+            predicted = table[index]
             # Eq. 2: maximise -(RF_t + delta), delta ~ N(0, sigma).
             delta = self._rng.normal(0.0, 0.01 * max(predicted, 1.0))
             return -(predicted + delta)
@@ -482,18 +546,22 @@ class WorkloadPredictor:
             n_initial=min(4, candidates.shape[0]),
             improvement_threshold=self.bo_improvement_threshold,
             patience=self.bo_patience,
+            gram=gram,
             rng=self._rng,
         )
         result = optimizer.maximize(max_iterations=max_iterations)
 
-        # One batched forest pass covers every probe plus the winner --
-        # the noise-free counterpart of the noisy Eq. 2 objective values --
-        # and one batched cost pass prices the whole Estimated Time list,
-        # which stays in array form end to end.
-        probe_points = np.array(
-            [probe.point for probe in result.history] + [result.best_point]
-        )
-        estimates = self.predict_durations(request.feature_matrix(probe_points))
+        # The Estimated Time list (every probe, plus the winner) reads the
+        # same forest pass: column means over the probes' tree columns add
+        # the trees in the order a batched predict over those rows does
+        # (``take`` keeps the block C-ordered, so the reduction order
+        # matches).  One batched cost pass prices the list, which stays in
+        # array form end to end.
+        best_point = result.best_point
+        best = int(row_of[int(best_point[0]), int(best_point[1])])
+        probe_indices = np.array(probed + [best])
+        probe_points = candidates[probe_indices]
+        estimates = trees.take(probe_indices, axis=1).mean(axis=0)
         costs = self.estimate_costs(estimates, probe_points)
         decision_grid = DecisionGrid(
             probe_points[:-1], estimates[:-1], costs[:-1]
@@ -576,7 +644,7 @@ class WorkloadPredictor:
         if not requests:
             return []
         started = time.perf_counter()
-        eff_vm, eff_sl = self._effective_bounds(max_vm, max_sl)
+        eff_vm, eff_sl = self._effective_bounds(max_vm, max_sl, mode)
         candidates = self.candidate_grid(mode, max_vm=eff_vm, max_sl=eff_sl)
         grid_size = candidates.shape[0]
 
@@ -619,9 +687,9 @@ class WorkloadPredictor:
                 fresh_requests.append(request)
 
         if fresh_requests:
-            estimates = self._grid_estimates(
+            estimates = self._grid_tree_matrix(
                 fresh_requests, mode, candidates, eff_vm, eff_sl
-            )
+            ).mean(axis=0)
             cost_matrix = self.estimate_costs(
                 estimates.reshape(len(fresh_requests), grid_size), candidates
             )
@@ -687,7 +755,7 @@ class WorkloadPredictor:
             )
         return decisions
 
-    def _grid_estimates(
+    def _grid_tree_matrix(
         self,
         requests: list[PredictionRequest],
         mode: str,
@@ -695,12 +763,13 @@ class WorkloadPredictor:
         max_vm: int | None = None,
         max_sl: int | None = None,
     ) -> np.ndarray:
-        """Grid duration estimates for fresh requests, request-major.
+        """Per-tree grid estimates, ``(n_trees, n_requests * n_rows)``.
 
-        Uses the grid-compiled engine (set-partition descent over masks
-        precompiled against the fixed candidate grid) when the native
-        kernel is available; otherwise one stacked forest pass.  Both
-        produce bitwise-identical estimates.
+        Columns are request-major.  Uses the grid-compiled engine
+        (set-partition descent over masks precompiled against the fixed
+        candidate grid) when the native kernel is available; otherwise
+        one stacked packed-forest pass.  Both produce bitwise-identical
+        matrices.
         """
         engine = self._grid_engine(mode, max_vm=max_vm, max_sl=max_sl)
         if engine is not None:
@@ -718,11 +787,11 @@ class WorkloadPredictor:
                 alphas[index] = FeatureVector.available_memory_scale(
                     request.num_waiting_apps
                 )
-            return engine.predict(constants, alphas)
+            return engine.tree_matrix(constants, alphas)
         stacked = np.vstack(
             [request.feature_matrix(candidates) for request in requests]
         )
-        return self.predict_durations(stacked)
+        return self._forest.tree_matrix(stacked)
 
     def _grid_engine(
         self,
@@ -739,7 +808,7 @@ class WorkloadPredictor:
         """
         if not GridPack.available():
             return None
-        eff_vm, eff_sl = self._effective_bounds(max_vm, max_sl)
+        eff_vm, eff_sl = self._effective_bounds(max_vm, max_sl, mode)
         key = (mode, eff_vm, eff_sl)
         cached = self._grid_engine_cache.get(key)
         if cached is not None and cached[1] == self.model_version:

@@ -2353,6 +2353,10 @@ class ServingSimulator:
             simulator.run()
         pool.shutdown()
         table.flush()
+        # The table's admission hooks close over the replay's state,
+        # which holds the table: break the cycle so the replay's state
+        # is freed when this call returns.
+        table.admit_next = table.on_failure = table.on_duration = None
         if table.n_terminated != n_arrivals:
             raise RuntimeError("some trace arrivals never completed")
         if report_stream.n_shed > 0:

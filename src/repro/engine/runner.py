@@ -181,11 +181,20 @@ class QueryExecution:
     def completed(self) -> bool:
         return self.result is not None
 
+    @staticmethod
+    def _detach(scheduler: TaskScheduler) -> None:
+        """Drop the scheduler's hooks into this execution once it has
+        finished or failed (they fire at most once), breaking the
+        execution <-> scheduler reference cycle."""
+        scheduler.on_complete = None
+        scheduler.on_failed = None
+
     @property
     def lease(self) -> PoolLease:
         return self.scheduler.lease
 
     def _finish(self, scheduler: TaskScheduler) -> None:
+        self._detach(scheduler)
         lease = scheduler.lease
         duration = scheduler.completion_seconds - lease.queueing_delay_s
         cost = lease.cost_report(
@@ -212,6 +221,7 @@ class QueryExecution:
             self._user_on_complete(self)
 
     def _fail(self, scheduler: TaskScheduler, reason: str) -> None:
+        self._detach(scheduler)
         self.failed = True
         self.failure_reason = reason
         if self._user_on_failed is not None:

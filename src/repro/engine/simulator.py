@@ -112,6 +112,12 @@ class Simulator:
         if handle.cancelled:
             return False
         handle.cancelled = True
+        # A dead event drops its callback, and with it any reference
+        # cycle through the closure (a callback that captures the
+        # object holding its own handle), so the state it captured is
+        # freed by reference counting instead of waiting for the
+        # cyclic collector.
+        handle.callback = None
         self._n_dead += 1
         if (
             self._n_dead > self._COMPACT_MIN_DEAD
@@ -141,7 +147,8 @@ class Simulator:
             self._now = time
             self._events_processed += 1
             handle.cancelled = True  # fired events cannot be cancelled
-            handle.callback()
+            callback, handle.callback = handle.callback, None  # see cancel()
+            callback()
             return True
         return False
 

@@ -10,6 +10,11 @@ Conventions: acquisitions are *maximised*, and the underlying objective is
 also a maximisation (Smartpick maximises ``-(RF_t + delta)``, Eq. 2, i.e.
 minimises predicted completion time).  ``best_value`` is therefore the
 largest objective value observed so far.
+
+The Gaussian cdf is :func:`scipy.special.ndtr` -- the function
+``scipy.stats.norm.cdf`` evaluates underneath, without the distribution
+wrapper's per-call argument handling (the BO loop scores candidates on
+every probe).
 """
 
 from __future__ import annotations
@@ -17,6 +22,7 @@ from __future__ import annotations
 import abc
 
 import numpy as np
+from scipy.special import ndtr
 from scipy.stats import norm
 
 __all__ = [
@@ -64,7 +70,7 @@ class ProbabilityOfImprovement(AcquisitionFunction):
         mean = np.asarray(mean, dtype=np.float64)
         std = np.maximum(np.asarray(std, dtype=np.float64), 1e-12)
         z = (mean - best_value - self.xi) / std
-        return norm.cdf(z)
+        return ndtr(z)
 
     def __repr__(self) -> str:
         return f"ProbabilityOfImprovement(xi={self.xi})"
@@ -85,7 +91,7 @@ class ExpectedImprovement(AcquisitionFunction):
         std = np.maximum(np.asarray(std, dtype=np.float64), 1e-12)
         improvement = mean - best_value - self.xi
         z = improvement / std
-        return improvement * norm.cdf(z) + std * norm.pdf(z)
+        return improvement * ndtr(z) + std * norm.pdf(z)
 
     def __repr__(self) -> str:
         return f"ExpectedImprovement(xi={self.xi})"

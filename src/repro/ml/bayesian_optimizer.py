@@ -8,6 +8,13 @@ score, and stops when the incumbent has not improved by
 ``improvement_threshold`` (relatively) for ``patience`` consecutive probes --
 the paper's "1 % for 10 consecutive searches" rule (Section 3.1).
 
+The search space is finite and fixed, so the surrogate's covariance is
+too: the Matern 5/2 Gram over all candidates is built once (or handed in
+by a caller that memoizes it per search space) and the GP is conditioned
+on candidate *indices* through :class:`~repro.ml.kernels.GramLookupKernel`.
+Each probe then costs a table read instead of a kernel build, and the
+posterior is bitwise the one a direct kernel evaluation would give.
+
 The optimizer records every probe in :attr:`BOResult.history`; Smartpick's
 tradeoff knob later traverses that list (the paper's *Estimated Time list*,
 ``ET_l``) to pick a cheaper configuration within the latency tolerance.
@@ -22,7 +29,7 @@ import numpy as np
 
 from repro.ml.acquisition import AcquisitionFunction, ProbabilityOfImprovement
 from repro.ml.gaussian_process import GaussianProcessRegressor
-from repro.ml.kernels import Matern52Kernel
+from repro.ml.kernels import GramLookupKernel, Matern52Kernel
 
 __all__ = ["BayesianOptimizer", "BOResult", "Probe"]
 
@@ -60,9 +67,11 @@ class BayesianOptimizer:
     Parameters
     ----------
     objective:
-        Callable mapping a candidate (1-D array) to a float score.  Smartpick
-        wires ``-(RF_t + delta)`` here; the BO-only baseline wires a live
-        execution instead.
+        Callable mapping a candidate (1-D array) to a float score, called
+        once per probe.  Smartpick wires ``-(RF_t + delta)`` here, reading
+        ``RF_t`` from a table one forest pass filled for every candidate
+        before the search; the BO-only baseline wires a live execution
+        instead.
     candidates:
         The finite search space, shape ``(n, d)``.
     acquisition:
@@ -76,6 +85,14 @@ class BayesianOptimizer:
         (paper: 10).
     noise:
         Observation-noise standard deviation given to the GP surrogate.
+    length_scale:
+        Matern 5/2 length scale; defaults to a quarter of the candidate
+        cloud's extent.  Ignored when ``gram`` is given.
+    gram:
+        The ``(n, n)`` surrogate covariance over ``candidates``, as
+        :meth:`candidate_gram` builds it.  Callers that search the same
+        candidate set repeatedly pass a memoized copy; by default it is
+        built here.
     rng:
         Seed or generator for the initial design and tie-breaking.
     """
@@ -90,6 +107,7 @@ class BayesianOptimizer:
         patience: int = 10,
         noise: float = 1e-2,
         length_scale: float | None = None,
+        gram: np.ndarray | None = None,
         rng: np.random.Generator | int | None = None,
     ) -> None:
         self.objective = objective
@@ -107,10 +125,15 @@ class BayesianOptimizer:
         self.improvement_threshold = improvement_threshold
         self.patience = patience
         self._rng = np.random.default_rng(rng)
-        if length_scale is None:
-            length_scale = self._default_length_scale(self.candidates)
+        n_candidates = self.candidates.shape[0]
+        if gram is None:
+            gram = self.candidate_gram(self.candidates, length_scale)
+        elif np.shape(gram) != (n_candidates, n_candidates):
+            raise ValueError("gram must be (n_candidates, n_candidates)")
+        # The GP's inputs are candidate indices, one float column.
+        self._index_points = np.arange(n_candidates, dtype=np.float64)[:, None]
         self._surrogate = GaussianProcessRegressor(
-            kernel=Matern52Kernel(length_scale=length_scale), noise=noise
+            kernel=GramLookupKernel(gram), noise=noise
         )
 
     @staticmethod
@@ -119,6 +142,23 @@ class BayesianOptimizer:
         span = candidates.max(axis=0) - candidates.min(axis=0)
         extent = float(np.linalg.norm(span))
         return max(extent / 4.0, 1e-3)
+
+    @classmethod
+    def candidate_gram(
+        cls, candidates: np.ndarray, length_scale: float | None = None
+    ) -> np.ndarray:
+        """The Matern 5/2 surrogate covariance over a whole candidate set.
+
+        It depends only on the candidates (the default length scale is a
+        function of their extent), so a caller that searches one fixed
+        grid many times can build it once and pass it as ``gram``.  It
+        holds ``n^2`` floats: a few hundred kilobytes for the paper's
+        ``{nVM, nSL}`` grids.
+        """
+        candidates = np.atleast_2d(np.asarray(candidates, dtype=np.float64))
+        if length_scale is None:
+            length_scale = cls._default_length_scale(candidates)
+        return Matern52Kernel(length_scale=length_scale)(candidates, candidates)
 
     # ------------------------------------------------------------------
     # Main loop
@@ -154,7 +194,7 @@ class BayesianOptimizer:
             point = self.candidates[index]
             value = float(self.objective(point))
             history.append(Probe(tuple(point.tolist()), value))
-            self._surrogate.add_observation(point, value)
+            self._surrogate.add_observation(self._index_points[index], value)
 
             if self._improved(value, best_value):
                 best_value = value
@@ -195,7 +235,7 @@ class BayesianOptimizer:
         if remaining.size == 0:
             return -1
         mean, std = self._surrogate.predict(
-            self.candidates[remaining], return_std=True
+            self._index_points[remaining], return_std=True
         )
         scores = self.acquisition(mean, std, best_value)
         # Randomised argmax so ties do not always resolve to the lowest index.

@@ -330,10 +330,6 @@ class GridPack:
         )
         return out.reshape(self.n_trees, n_req * self.n_rows)
 
-    def predict(self, constants: np.ndarray, alphas: np.ndarray) -> np.ndarray:
-        """Ensemble-mean estimates, bitwise equal to the stacked path."""
-        return self.tree_matrix(constants, alphas).mean(axis=0)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"GridPack(n_trees={self.n_trees}, n_rows={self.n_rows}, "

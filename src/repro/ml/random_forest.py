@@ -173,7 +173,7 @@ class RandomForestRegressor:
 
     def predict(self, features: np.ndarray) -> np.ndarray:
         """Mean prediction across trees for ``features`` (n x d) -> (n,)."""
-        return self._tree_matrix(features).mean(axis=0)
+        return self.tree_matrix(features).mean(axis=0)
 
     def predict_with_spread(
         self, features: np.ndarray
@@ -183,7 +183,7 @@ class RandomForestRegressor:
         The per-tree standard deviation is a cheap epistemic-uncertainty
         proxy; the BO surrogate uses it to seed observation noise.
         """
-        matrix = self._tree_matrix(features)
+        matrix = self.tree_matrix(features)
         return matrix.mean(axis=0), matrix.std(axis=0)
 
     def packed(self) -> PackedForest:
@@ -199,7 +199,8 @@ class RandomForestRegressor:
             self._pack = PackedForest.from_trees(self.trees_)
         return self._pack
 
-    def _tree_matrix(self, features: np.ndarray) -> np.ndarray:
+    def tree_matrix(self, features: np.ndarray) -> np.ndarray:
+        """Per-tree predictions for ``features`` -> ``(n_trees, n_rows)``."""
         return self.packed().tree_matrix(features)
 
     def _tree_matrix_loop(self, features: np.ndarray) -> np.ndarray:

@@ -165,6 +165,39 @@ class TestDetermination:
         assert str(decision.n_vm) in text
         assert "synth" in text
 
+    @pytest.mark.parametrize(
+        "mode, caps", [("sl-only", (4, 0)), ("vm-only", (0, 4))]
+    )
+    def test_quota_zeroing_the_only_axis_falls_back(self, predictor, mode, caps):
+        # A cap that leaves a single-axis mode without its axis is
+        # ignored, like a cap pair zeroing both axes of the hybrid grid.
+        max_vm, max_sl = caps
+        assert np.array_equal(
+            predictor.candidate_grid(mode, max_vm=max_vm, max_sl=max_sl),
+            predictor.candidate_grid(mode),
+        )
+        state = predictor._rng.bit_generator.state
+        capped = predictor.determine(
+            _request(), mode=mode, max_vm=max_vm, max_sl=max_sl
+        )
+        predictor._rng.bit_generator.state = state
+        free = predictor.determine(_request(), mode=mode)
+        assert capped.config == free.config
+        assert capped.n_evaluations == free.n_evaluations
+        (batched,) = predictor.determine_batch(
+            [_request()], mode=mode, max_vm=max_vm, max_sl=max_sl
+        )
+        (unconstrained,) = predictor.determine_batch([_request()], mode=mode)
+        assert batched.config == unconstrained.config
+        assert len(batched.et_list) == len(predictor.candidate_grid(mode))
+
+    def test_quota_caps_keep_the_remaining_axis(self, predictor):
+        # Zeroing the *other* axis of a single-axis mode still caps it.
+        decision = predictor.determine(
+            _request(), mode="sl-only", max_vm=0, max_sl=3
+        )
+        assert decision.n_vm == 0 and 1 <= decision.n_sl <= 3
+
     def test_decisions_deterministic_per_seed(self):
         results = []
         for _ in range(2):

@@ -114,9 +114,6 @@ class TestGridPackDescent:
         assert np.array_equal(
             engine.tree_matrix(constants, alphas), pack.tree_matrix(stacked)
         )
-        assert np.array_equal(
-            engine.predict(constants, alphas), pack.predict(stacked)
-        )
 
     @pytest.mark.parametrize("mode", ["hybrid", "vm-only", "sl-only"])
     def test_all_modes(self, mode):

@@ -129,6 +129,20 @@ class TestBayesianOptimizer:
         ]
         assert runs[0] == runs[1]
 
+    def test_passed_gram_equals_built_gram(self):
+        grid = np.array([[v, s] for v in range(6) for s in range(6)], float)
+
+        def run(gram):
+            return BayesianOptimizer(
+                lambda p: -abs(p[0] - 2.0) - abs(p[1] - 4.0), grid,
+                gram=gram, rng=8,
+            ).maximize(30)
+
+        built, passed = run(None), run(BayesianOptimizer.candidate_gram(grid))
+        assert built.history == passed.history
+        with pytest.raises(ValueError):
+            BayesianOptimizer(lambda p: 0.0, grid, gram=np.eye(3))
+
     def test_validation(self):
         with pytest.raises(ValueError):
             BayesianOptimizer(lambda p: 0.0, np.zeros((0, 1)))

@@ -459,6 +459,29 @@ class TestReplayMulti:
         vm_peak, sl_peak = report.tenant_peaks["hot"]
         assert vm_peak <= 3 and sl_peak <= 3
 
+    @pytest.mark.parametrize(
+        "mode, spec",
+        [
+            ("sl-only", TenantSpec("t", max_leased_sls=0)),
+            ("vm-only", TenantSpec("t", max_leased_vms=0)),
+        ],
+    )
+    def test_quota_zeroing_the_only_axis_reaches_the_pool(self, mode, spec):
+        # Quota-priced sizing must not fail on an empty grid when the
+        # quota zeroes a single-axis mode's only axis: the cap is ignored
+        # and sizing searches the unconstrained grid.  No lease of that
+        # mode fits the quota, so the pool rejects it, naming the tenant.
+        simulator = ServingSimulator(
+            build_small_system(seed=3),
+            pool_config=PoolConfig(max_vms=8, max_sls=8),
+            tenants=TenantRegistry([spec]),
+            quota_priced_sizing=True,
+        )
+        with pytest.raises(ValueError, match="tenant 't' no quota"):
+            simulator.replay_multi(
+                {"t": build_bursty_trace(3, spacing_s=30.0)}, mode=mode
+            )
+
 
 class TestChargebackAndFairness:
     @pytest.fixture(scope="class")

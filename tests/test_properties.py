@@ -1,17 +1,31 @@
 """Property-based tests (hypothesis) on core data structures and invariants."""
 
+import functools
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis import format_table
 from repro.cloud import get_provider
-from repro.core import DecisionGrid, EstimatedTimeEntry, select_with_knob
+from repro.cloud.pricing import get_prices
+from repro.core import (
+    FEATURE_NAMES,
+    DecisionGrid,
+    EstimatedTimeEntry,
+    FeatureVector,
+    PredictionRequest,
+    WorkloadPredictor,
+    select_with_knob,
+)
 from repro.engine import Simulator, run_query
 from repro.ml import (
+    BayesianOptimizer,
     DataBurstAugmenter,
     Dataset,
     DecisionTreeRegressor,
+    GaussianProcessRegressor,
+    Matern52Kernel,
     RandomForestRegressor,
     rmse,
 )
@@ -274,6 +288,129 @@ def test_grid_select_with_external_best(entries, epsilon):
     )
     chosen = best if index is None else grid.entry(index)
     assert chosen == reference
+
+
+# ---------------------------------------------------------------------------
+# Solo determination: the table-driven BO loop (one forest pass, cached
+# candidate Gram) makes exactly the decision a per-probe loop makes -- one
+# forest call per probe, a Matern kernel build per surrogate update, and a
+# batched re-predict of the probes -- for any request, mode, quota caps,
+# knob, probe budget and generator state.
+# ---------------------------------------------------------------------------
+
+
+class _PerProbeOptimizer(BayesianOptimizer):
+    """Conditions the surrogate on candidate rows, building the kernel."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._index_points = self.candidates
+        self._surrogate = GaussianProcessRegressor(
+            kernel=Matern52Kernel(self._default_length_scale(self.candidates)),
+            noise=1e-2,
+        )
+
+
+def _per_probe_determine(predictor, request, knob, mode, max_iterations,
+                         max_vm, max_sl):
+    candidates = predictor.candidate_grid(mode, max_vm=max_vm, max_sl=max_sl)
+
+    def objective(point):
+        predicted = predictor.predict_duration(
+            request.feature_vector(int(point[0]), int(point[1]))
+        )
+        delta = predictor._rng.normal(0.0, 0.01 * max(predicted, 1.0))
+        return -(predicted + delta)
+
+    result = _PerProbeOptimizer(
+        objective=objective,
+        candidates=candidates,
+        acquisition=predictor.acquisition,
+        n_initial=min(4, candidates.shape[0]),
+        improvement_threshold=predictor.bo_improvement_threshold,
+        patience=predictor.bo_patience,
+        rng=predictor._rng,
+    ).maximize(max_iterations=max_iterations)
+    points = np.array(
+        [probe.point for probe in result.history] + [result.best_point]
+    )
+    seconds = predictor.predict_durations(request.feature_matrix(points))
+    costs = predictor.estimate_costs(seconds, points)
+    grid = DecisionGrid(points[:-1], seconds[:-1], costs[:-1])
+    best = EstimatedTimeEntry(
+        int(points[-1][0]), int(points[-1][1]), float(seconds[-1]),
+        float(costs[-1]),
+    )
+    index = grid.select_index_with_knob(
+        best.estimated_seconds, best.estimated_cost, knob
+    )
+    chosen = best if index is None else grid.entry(index)
+    return chosen, best, grid, result.n_evaluations, result.converged
+
+
+@functools.lru_cache(maxsize=1)
+def _small_predictor():
+    predictor = WorkloadPredictor(
+        get_provider("aws"), get_prices("aws"), max_vm=6, max_sl=6,
+        n_estimators=12, rng=21,
+    )
+    rng = np.random.default_rng(21)
+    n_vm = rng.integers(0, 7, 90)
+    n_sl = rng.integers(0, 7, 90)
+    n_vm = np.where(n_vm + n_sl == 0, 1, n_vm)
+    features = FeatureVector.build_matrix(
+        n_vm=n_vm.astype(float), n_sl=n_sl.astype(float),
+        input_size_gb=30.0, start_time_epoch=5.0e3,
+        historical_duration_s=150.0,
+    )
+    targets = 700.0 / (n_vm + n_sl) + 20.0 * (n_vm > 0) + rng.normal(0, 3, 90)
+    predictor.fit(Dataset(features, targets, FEATURE_NAMES), augment=False)
+    return predictor
+
+
+_cap = st.one_of(st.none(), st.integers(min_value=0, max_value=7))
+
+
+@given(
+    mode=st.sampled_from(["hybrid", "vm-only", "sl-only"]),
+    max_vm=_cap,
+    max_sl=_cap,
+    knob=st.one_of(st.sampled_from([0.0, 0.3]), st.floats(0.0, 2.0)),
+    max_iterations=st.integers(min_value=1, max_value=60),
+    input_gb=st.floats(min_value=1.0, max_value=200.0),
+    waiting=st.integers(min_value=0, max_value=25),
+    history_s=st.floats(min_value=10.0, max_value=900.0),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_determine_matches_per_probe_reference(
+    mode, max_vm, max_sl, knob, max_iterations, input_gb, waiting,
+    history_s, seed,
+):
+    predictor = _small_predictor()
+    request = PredictionRequest(
+        query_id="q", input_size_gb=input_gb, start_time_epoch=6.0e3,
+        historical_duration_s=history_s, num_waiting_apps=waiting,
+    )
+    predictor._rng = np.random.default_rng(seed)
+    decision = predictor.determine(
+        request, knob=knob, mode=mode, max_iterations=max_iterations,
+        max_vm=max_vm, max_sl=max_sl,
+    )
+    table_state = predictor._rng.bit_generator.state
+    predictor._rng = np.random.default_rng(seed)
+    chosen, best, grid, n_evaluations, converged = _per_probe_determine(
+        predictor, request, knob, mode, max_iterations, max_vm, max_sl
+    )
+    assert predictor._rng.bit_generator.state == table_state
+    assert decision.chosen_entry == chosen
+    assert decision.best_entry == best
+    assert (decision.n_evaluations, decision.converged) == (
+        n_evaluations, converged,
+    )
+    for name in ("candidates", "seconds", "costs"):
+        assert getattr(decision.grid, name).tobytes() == (
+            getattr(grid, name).tobytes()
+        )
 
 
 # ---------------------------------------------------------------------------

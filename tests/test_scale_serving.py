@@ -21,6 +21,7 @@ Three layers pin the million-arrival serving stack:
 
 from __future__ import annotations
 
+import gc
 import math
 
 import numpy as np
@@ -247,6 +248,47 @@ class TestEngineEquivalence:
         # Reused decisions carry inference_seconds=0, so the total is
         # well below the every-arrival-decides baseline.
         assert reused.total_decision_seconds < 0.5 * cold.total_decision_seconds
+
+
+#: Per-arrival and per-replay serving state that must never sit in a
+#: reference cycle once a replay returns.
+_REPLAY_STATE_TYPES = {
+    "ClusterPool", "Simulator", "PoolLease", "EventHandle", "PlanRunner",
+    "QueryExecution", "TaskScheduler", "_CompletionTable",
+}
+
+
+class TestReplayMemory:
+    """A finished replay's state is freed by reference counting.
+
+    Left to the cyclic collector, every replay's leases, plan runners
+    and boot events outlive it until a full collection happens to run,
+    so a process replaying repeatedly grows with the replay count.
+    """
+
+    @pytest.mark.parametrize(
+        "engine, submission", [("event", "object"), ("columnar", "vector")]
+    )
+    def test_replay_leaves_no_cycles(self, engine, submission):
+        system = build_uniform_system()
+        trace = make_trace(n_minutes=3.0)
+        gc.collect()
+        gc.disable()
+        try:
+            ServingSimulator(
+                system,
+                pool_config=PoolConfig(max_vms=16, max_sls=16),
+                engine=engine,
+                submission=submission,
+            ).replay(trace)
+            gc.set_debug(gc.DEBUG_SAVEALL)
+            gc.collect()
+            cyclic = {type(item).__name__ for item in gc.garbage}
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+            gc.enable()
+        assert sorted(cyclic & _REPLAY_STATE_TYPES) == []
 
 
 class TestStreamingReports:
