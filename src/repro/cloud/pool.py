@@ -710,8 +710,8 @@ class PoolShard:
 
     __slots__ = (
         "name", "config", "warm", "leased_vms", "leased_sls", "queue",
-        "autoscaler", "grant_times", "keepalive_cost", "fault_times",
-        "wasted_cost",
+        "queue_version", "grant_order", "autoscaler", "grant_times",
+        "keepalive_cost", "fault_times", "wasted_cost",
     )
 
     def __init__(
@@ -728,7 +728,14 @@ class PoolShard:
         }
         self.leased_vms = 0
         self.leased_sls = 0
+        #: Queued requests in arrival order.  Changed only through
+        #: :meth:`enqueue` and :meth:`dequeue`, which bump
+        #: ``queue_version`` so grant policies can memoize their order.
         self.queue: list[PoolLease] = []
+        self.queue_version = 0
+        #: ``(policy, queue_version, order)`` memo of the last grant
+        #: policy that ordered this queue (see :meth:`GrantPolicy.memo`).
+        self.grant_order: tuple | None = None
         #: Keep-alive policy override for this shard (None = pool default).
         self.autoscaler = autoscaler
         #: Grant timestamps on THIS shard (the per-shard arrival meter).
@@ -764,6 +771,16 @@ class PoolShard:
     def fits(self, lease: PoolLease) -> bool:
         """Whether the lease can be granted from this shard's free capacity."""
         return lease.n_vm <= self.free_vms and lease.n_sl <= self.free_sls
+
+    def enqueue(self, lease: PoolLease) -> None:
+        """Queue a request behind every earlier one."""
+        self.queue.append(lease)
+        self.queue_version += 1
+
+    def dequeue(self, lease: PoolLease) -> None:
+        """Take a request off the queue (granted here or stolen)."""
+        self.queue.remove(lease)
+        self.queue_version += 1
 
 
 class ShardRouter(abc.ABC):
@@ -915,17 +932,50 @@ class GrantPolicy(abc.ABC):
         Only these leases may be granted next -- by the shard itself or
         by a stealing shard -- so the ordering guarantees a policy makes
         (e.g. FIFO's arrival order) survive work stealing.
+
+        Contract: the order may change only when the shard's queue
+        changes (an :meth:`PoolShard.enqueue`/:meth:`PoolShard.dequeue`,
+        which bumps ``queue_version``) or when policy state changes.  A
+        policy whose order depends on the queue alone memoizes it per
+        queue version (:meth:`memo`), so a pump pass costs about as much
+        as the grants it makes.  The returned list may be that memo:
+        callers iterate it and never mutate it.
         """
 
     @abc.abstractmethod
     def describe(self) -> str:
         """Human-readable policy name for reports."""
 
+    def memo(
+        self,
+        shard: PoolShard,
+        build: Callable[[list[PoolLease]], list[PoolLease]],
+    ) -> list[PoolLease]:
+        """``build(shard.queue)``, recomputed only when the queue changed."""
+        memo = shard.grant_order
+        if (
+            memo is None
+            or memo[0] is not self
+            or memo[1] != shard.queue_version
+        ):
+            memo = shard.grant_order = (
+                self, shard.queue_version, build(shard.queue)
+            )
+        return memo[2]
+
     def select(self, shard: PoolShard, pool: "ClusterPool") -> PoolLease | None:
-        """The next queued lease grantable on ``shard`` (None when stuck)."""
+        """The next queued lease grantable on ``shard`` (None when stuck).
+
+        Capacity is read once per scan (nothing is granted until the scan
+        returns).  A lease that does not fit closes its open quota
+        interval, if it has one -- the wait is contention again.
+        """
+        free_vms = shard.config.max_vms - shard.leased_vms
+        free_sls = shard.config.max_sls - shard.leased_sls
         for lease in self.candidates(shard, pool):
-            if not shard.fits(lease):
-                pool._note_capacity_block(lease)
+            if lease.n_vm > free_vms or lease.n_sl > free_sls:
+                if lease.quota_blocked_since is not None:
+                    pool._note_capacity_block(lease)
                 continue
             if not pool.quota_allows(lease):
                 pool._note_quota_block(lease)
@@ -940,7 +990,8 @@ class FifoGrant(GrantPolicy):
     The head request blocks everything behind it -- including other
     tenants -- until capacity *and* its tenant's quota allow the grant.
     This is the pre-multi-tenant behaviour and the noisy-neighbour
-    baseline the fair policy is measured against.
+    baseline the fair policy is measured against.  The order depends on
+    the queue alone and costs O(1), so it is not memoized.
     """
 
     def candidates(
@@ -950,6 +1001,14 @@ class FifoGrant(GrantPolicy):
 
     def describe(self) -> str:
         return "fifo"
+
+
+def _tenant_heads(queue: list[PoolLease]) -> list[PoolLease]:
+    """Each tenant's earliest queued lease, in arrival order."""
+    heads: dict[str, PoolLease] = {}
+    for lease in queue:  # arrival order => first seen is the head
+        heads.setdefault(lease.tenant, lease)
+    return list(heads.values())
 
 
 class WeightedFairGrant(GrantPolicy):
@@ -962,16 +1021,17 @@ class WeightedFairGrant(GrantPolicy):
     unit weight wins, ties broken by arrival order.  Service is the
     worker count granted so far, so a hot tenant that just burned through
     the pool yields to a quiet one even under a standing backlog.
+
+    The per-tenant heads depend on the queue alone and are memoized per
+    queue version; service is policy state that every grant changes, so
+    the few heads are re-sorted by it on each call.
     """
 
     def candidates(
         self, shard: PoolShard, pool: "ClusterPool"
     ) -> list[PoolLease]:
-        heads: dict[str, PoolLease] = {}
-        for lease in shard.queue:  # arrival order => first seen is the head
-            heads.setdefault(lease.tenant, lease)
         return sorted(
-            heads.values(),
+            self.memo(shard, _tenant_heads),
             key=lambda lease: (
                 pool.normalized_service(lease.tenant), lease.seq
             ),
@@ -979,6 +1039,18 @@ class WeightedFairGrant(GrantPolicy):
 
     def describe(self) -> str:
         return "weighted-fair"
+
+
+def _by_deadline(queue: list[PoolLease]) -> list[PoolLease]:
+    """Earliest deadline first; leases without one last, by arrival."""
+    inf = float("inf")
+    return sorted(
+        queue,
+        key=lambda lease: (
+            inf if lease.deadline_s is None else lease.deadline_s,
+            lease.seq,
+        ),
+    )
 
 
 class DeadlineAwareGrant(GrantPolicy):
@@ -990,6 +1062,13 @@ class DeadlineAwareGrant(GrantPolicy):
     deadlined request, in arrival order among themselves -- so with all
     SLOs unset the candidate order degenerates to exact arrival order
     and grants replay identically to a single-tenant FIFO.
+
+    Subtracting the common ``now`` keeps the order of the deadlines, so
+    the order depends on the queue alone: it is sorted by ``(deadline,
+    seq)`` and memoized per queue version instead of re-sorted on every
+    call.  (Only two distinct deadlines less than one ulp of their slack
+    apart could tie as slacks; this order breaks such a tie by deadline
+    where a slack sort would break it by arrival.)
 
     With ``preempt=True`` the policy additionally authorises cooperative
     preemption: when a deadlined request's slack falls below
@@ -1013,11 +1092,7 @@ class DeadlineAwareGrant(GrantPolicy):
     def candidates(
         self, shard: PoolShard, pool: "ClusterPool"
     ) -> list[PoolLease]:
-        now = pool.simulator.now
-        return sorted(
-            shard.queue,
-            key=lambda lease: (lease.slack_s(now), lease.seq),
-        )
+        return self.memo(shard, _by_deadline)
 
     def describe(self) -> str:
         if self.preempt:
@@ -1456,7 +1531,7 @@ class ClusterPool:
         else:
             if shard.fits(lease) and not self.quota_allows(lease):
                 self._note_quota_block(lease)
-            shard.queue.append(lease)
+            shard.enqueue(lease)
             # Another shard may be able to serve the request right away
             # (work stealing); only count the lease as queued when it is
             # still waiting after that, so leases_queued keeps meaning
@@ -2103,7 +2178,7 @@ class ClusterPool:
                     lease = self.grant_policy.select(shard, self)
                     if lease is None:
                         break
-                    shard.queue.remove(lease)
+                    shard.dequeue(lease)
                     self._grant(lease, shard)
                     progressed = True
             if not self.work_stealing:
@@ -2114,7 +2189,7 @@ class ClusterPool:
                 lease = self._steal_candidate(thief)
                 if lease is not None:
                     assert lease.shard is not None
-                    self._shards[lease.shard].queue.remove(lease)
+                    self._shards[lease.shard].dequeue(lease)
                     self.stats.work_steals += 1
                     self._grant(lease, thief)
                     progressed = True
@@ -2194,11 +2269,13 @@ class ClusterPool:
         policy guarantees survives work stealing instead of letting
         small late requests overtake a blocked head forever.
         """
+        free_vms = thief.config.max_vms - thief.leased_vms
+        free_sls = thief.config.max_sls - thief.leased_sls
         for shard in self._shards.values():
             if shard is thief:
                 continue
             for lease in self.grant_policy.candidates(shard, self):
-                if not thief.fits(lease):
+                if lease.n_vm > free_vms or lease.n_sl > free_sls:
                     continue
                 if not self.quota_allows(lease):
                     self._note_quota_block(lease)

@@ -2279,21 +2279,20 @@ class ServingSimulator:
         if planner is not None and n_arrivals:
             planner.begin(float(times[0]))
 
+        def epoch_tick() -> None:
+            nonlocal epochs_planned
+            pool.apply_plan(planner.on_epoch_end(pool, simulator.now))
+            epochs_planned += 1
+            next_end = simulator.now + planner.epoch_s
+            if next_end <= last_arrival_s:
+                simulator.schedule_at(next_end, epoch_tick)
+
         def start_epoch_ticks() -> None:
             if planner is None or n_arrivals == 0:
                 return
             first_end = float(times[0]) + planner.epoch_s
             if first_end > last_arrival_s:
                 return
-
-            def epoch_tick() -> None:
-                nonlocal epochs_planned
-                pool.apply_plan(planner.on_epoch_end(pool, simulator.now))
-                epochs_planned += 1
-                next_end = simulator.now + planner.epoch_s
-                if next_end <= last_arrival_s:
-                    simulator.schedule_at(next_end, epoch_tick)
-
             simulator.schedule_at(first_end, epoch_tick)
 
         if self.engine == "columnar":
@@ -2357,6 +2356,9 @@ class ServingSimulator:
         # which holds the table: break the cycle so the replay's state
         # is freed when this call returns.
         table.admit_next = table.on_failure = table.on_duration = None
+        # The epoch tick reschedules itself through its own closure cell
+        # (a cycle holding the pool and simulator): unbind it too.
+        epoch_tick = None
         if table.n_terminated != n_arrivals:
             raise RuntimeError("some trace arrivals never completed")
         if report_stream.n_shed > 0:

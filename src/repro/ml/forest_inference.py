@@ -211,7 +211,7 @@ class PackedForest:
         table = self._native_table()
         out = np.empty(self.n_trees * n_rows, dtype=np.float64)
         kernel.forest_tree_matrix(
-            table.ctypes.data,
+            table,
             self.value,
             self.roots,
             self.n_trees,

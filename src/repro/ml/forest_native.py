@@ -305,7 +305,7 @@ GRID_MAX_WORDS = 64
 #: ``lk`` packs ``left << 2 | kind``; ``thr`` doubles as the leaf value.
 GRID_NODE_DTYPE = np.dtype([("lk", "<i4"), ("aux", "<i4"), ("thr", "<f8")])
 
-_CACHE: dict[str, ctypes.CDLL | None] = {}
+_CACHE: dict[str, "_Kernel | None"] = {}
 
 
 def _compiler() -> str | None:
@@ -350,7 +350,111 @@ def _build(compiler: str, library: str) -> bool:
         return False
 
 
-def load_kernel() -> ctypes.CDLL | None:
+def _data_pointer(array: object, dtype: np.dtype, position: int) -> int:
+    """The data address of a C-contiguous ``dtype`` array.
+
+    Validates exactly what ``np.ctypeslib.ndpointer(dtype, flags="C")``
+    validates and raises the same :class:`ctypes.ArgumentError`.
+    """
+    if not isinstance(array, np.ndarray):
+        problem = "argument must be an ndarray"
+    elif array.dtype != dtype:
+        problem = f"array must have data type {dtype}"
+    elif not array.flags.c_contiguous:
+        problem = "array must have flags ['C_CONTIGUOUS']"
+    else:
+        return array.ctypes.data
+    raise ctypes.ArgumentError(f"argument {position}: TypeError: {problem}")
+
+
+class _Entry:
+    """One kernel entry point whose array arguments pass as raw pointers.
+
+    ``ndpointer`` argtypes marshal each array through a ``c_void_p``
+    that ends up in a reference cycle, one per array argument per call,
+    left for the cyclic collector.  This passes the validated data
+    address instead; the call's own argument tuple keeps every array
+    alive until the kernel returns.  ``signature`` lists a numpy dtype
+    for each array argument and a ctypes type for each scalar.
+    """
+
+    __slots__ = ("_function", "_dtypes")
+
+    def __init__(self, function, signature: list) -> None:
+        function.argtypes = [
+            ctypes.c_void_p if isinstance(kind, np.dtype) else kind
+            for kind in signature
+        ]
+        function.restype = None
+        self._function = function
+        self._dtypes = tuple(
+            kind if isinstance(kind, np.dtype) else None for kind in signature
+        )
+
+    def __call__(self, *args) -> None:
+        if len(args) != len(self._dtypes):
+            raise TypeError(
+                f"this function takes {len(self._dtypes)} arguments "
+                f"({len(args)} given)"
+            )
+        self._function(*[
+            arg if dtype is None else _data_pointer(arg, dtype, position)
+            for position, (arg, dtype) in enumerate(
+                zip(args, self._dtypes), start=1
+            )
+        ])
+
+
+class _Kernel:
+    """The compiled library's entry points (see :data:`_SOURCE`)."""
+
+    def __init__(self, lib: ctypes.CDLL) -> None:
+        index = np.dtype(np.int64)
+        real = np.dtype(np.float64)
+        word = np.dtype(np.uint64)
+        byte = np.dtype(np.uint8)
+        self.forest_tree_matrix = _Entry(lib.forest_tree_matrix, [
+            NODE_DTYPE,       # Node table
+            real,             # leaf values
+            index,            # roots
+            ctypes.c_int64,   # n_trees
+            ctypes.c_int64,   # n_levels
+            real,             # row-major features
+            ctypes.c_int64,   # n_rows
+            ctypes.c_int64,   # n_features
+            real,             # out (n_trees * n_rows)
+        ])
+        self.forest_grid_matrix = _Entry(lib.forest_grid_matrix, [
+            GRID_NODE_DTYPE,  # GridNode table
+            word,             # static masks
+            index,            # roots
+            ctypes.c_int64,   # n_trees
+            ctypes.c_int64,   # n_words
+            ctypes.c_int64,   # n_rows
+            word,             # full row set
+            byte,             # go_left (n_req, n_branch)
+            ctypes.c_int64,   # n_branch
+            real,             # scaled ladders (n_req, n_levels)
+            ctypes.c_int64,   # n_scaled_levels
+            word,             # prefix masks
+            ctypes.c_int64,   # n_req
+            index,            # node stack scratch
+            word,             # set stack scratch
+            real,             # out (n_trees * n_req * n_rows)
+        ])
+        self.matern_gram = _Entry(lib.matern_gram, [
+            real,             # cross (n, m)
+            real,             # a_sq (n,)
+            real,             # b_sq (m,)
+            ctypes.c_double,  # length scale
+            ctypes.c_int64,   # n
+            ctypes.c_int64,   # m
+            real,             # poly out (n, m)
+            real,             # neg_s out (n, m)
+        ])
+
+
+def load_kernel() -> _Kernel | None:
     """The compiled descent kernel, or ``None`` when unavailable.
 
     The result (including failure) is memoized for the process; delete
@@ -373,54 +477,7 @@ def load_kernel() -> ctypes.CDLL | None:
                 _build(compiler, library)
         if os.path.exists(library):
             try:
-                lib = ctypes.CDLL(library)
-                index_array = np.ctypeslib.ndpointer(np.int64, flags="C")
-                float_array = np.ctypeslib.ndpointer(np.float64, flags="C")
-                word_array = np.ctypeslib.ndpointer(np.uint64, flags="C")
-                byte_array = np.ctypeslib.ndpointer(np.uint8, flags="C")
-                lib.forest_tree_matrix.argtypes = [
-                    ctypes.c_void_p,  # Node table
-                    float_array,      # leaf values
-                    index_array,      # roots
-                    ctypes.c_int64,   # n_trees
-                    ctypes.c_int64,   # n_levels
-                    float_array,      # row-major features
-                    ctypes.c_int64,   # n_rows
-                    ctypes.c_int64,   # n_features
-                    float_array,      # out (n_trees * n_rows)
-                ]
-                lib.forest_tree_matrix.restype = None
-                lib.forest_grid_matrix.argtypes = [
-                    ctypes.c_void_p,  # GridNode table
-                    word_array,       # static masks
-                    index_array,      # roots
-                    ctypes.c_int64,   # n_trees
-                    ctypes.c_int64,   # n_words
-                    ctypes.c_int64,   # n_rows
-                    word_array,       # full row set
-                    byte_array,       # go_left (n_req, n_branch)
-                    ctypes.c_int64,   # n_branch
-                    float_array,      # scaled ladders (n_req, n_levels)
-                    ctypes.c_int64,   # n_scaled_levels
-                    word_array,       # prefix masks
-                    ctypes.c_int64,   # n_req
-                    index_array,      # node stack scratch
-                    word_array,       # set stack scratch
-                    float_array,      # out (n_trees * n_req * n_rows)
-                ]
-                lib.forest_grid_matrix.restype = None
-                lib.matern_gram.argtypes = [
-                    float_array,      # cross (n, m)
-                    float_array,      # a_sq (n,)
-                    float_array,      # b_sq (m,)
-                    ctypes.c_double,  # length scale
-                    ctypes.c_int64,   # n
-                    ctypes.c_int64,   # m
-                    float_array,      # poly out (n, m)
-                    float_array,      # neg_s out (n, m)
-                ]
-                lib.matern_gram.restype = None
-                kernel = lib
+                kernel = _Kernel(ctypes.CDLL(library))
             except (OSError, AttributeError):
                 kernel = None
     _CACHE["kernel"] = kernel

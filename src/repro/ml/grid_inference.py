@@ -311,7 +311,7 @@ class GridPack:
         set_stack = np.empty(depth * self.n_words, dtype=np.uint64)
         out = np.empty(self.n_trees * n_req * self.n_rows, dtype=np.float64)
         kernel.forest_grid_matrix(
-            self._table.ctypes.data,
+            self._table,
             self._static_masks,
             pack.roots,
             self.n_trees,

@@ -16,6 +16,8 @@ inference engines alike.
 
 from __future__ import annotations
 
+import ctypes
+import gc
 import hashlib
 import json
 
@@ -241,6 +243,27 @@ def test_search_tables_memoized_read_only(predictor):
         row_of[grid[:, 0].astype(int), grid[:, 1].astype(int)],
         np.arange(grid.shape[0]),
     )
+
+
+def test_solo_determine_leaves_no_ctypes_cycles(predictor):
+    """Native kernel calls pass raw data pointers, so a solo decision
+    leaves no ``c_void_p`` reference cycle for the collector."""
+    requests = golden_requests()
+    predictor.determine(requests[0])  # builds the lazily compiled tables
+    gc.collect()
+    gc.disable()
+    try:
+        predictor.determine(requests[1], knob=0.4, mode="hybrid")
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        gc.collect()
+        leaked = [
+            item for item in gc.garbage if isinstance(item, ctypes.c_void_p)
+        ]
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        gc.enable()
+    assert leaked == []
 
 
 if __name__ == "__main__":

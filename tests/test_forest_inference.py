@@ -1,5 +1,6 @@
 """Packed-forest engine, incremental GP and predictor hot-path caches."""
 
+import ctypes
 import pickle
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 from repro.cloud.pricing import get_prices
 from repro.cloud.providers import get_provider
 from repro.core.predictor import PredictionRequest, WorkloadPredictor
-from repro.ml import PackedForest
+from repro.ml import PackedForest, forest_native
 from repro.ml.decision_tree import DecisionTreeRegressor
 from repro.ml.gaussian_process import GaussianProcessRegressor
 from repro.ml.kernels import Matern52Kernel
@@ -124,6 +125,32 @@ class TestPackedForest:
     def test_unfitted_forest_raises(self):
         with pytest.raises(RuntimeError):
             RandomForestRegressor().predict(np.zeros((1, 2)))
+
+
+@pytest.mark.skipif(
+    forest_native.load_kernel() is None, reason="native kernel unavailable"
+)
+@pytest.mark.parametrize(
+    "bad, problem",
+    [
+        (np.ones(3, dtype=np.float32), "array must have data type float64"),
+        (np.ones(6)[::2], r"array must have flags \['C_CONTIGUOUS'\]"),
+        ([1.0, 1.0, 1.0], "argument must be an ndarray"),
+    ],
+)
+def test_native_entry_rejects_like_ndpointer(bad, problem):
+    """Array arguments are validated as ``ndpointer`` validated them."""
+    kernel = forest_native.load_kernel()
+    ok = np.ones(3)
+    out = np.empty((3, 3))
+    for position, args in (
+        (1, (bad, ok, ok)), (2, (out, bad, ok)), (3, (out, ok, bad))
+    ):
+        with pytest.raises(
+            ctypes.ArgumentError,
+            match=f"argument {position}: TypeError: {problem}",
+        ):
+            kernel.matern_gram(*args, 1.0, 3, 3, out, out.copy())
 
 
 class TestIncrementalGP:

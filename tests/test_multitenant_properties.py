@@ -12,6 +12,11 @@ quotas:
   the full registry/fair-grant/admission machinery -- reproduces the
   plain ``replay`` report field for field (modulo the tenant name), for
   any fair-share weight.
+- **Memoized grant order**: over random acquire/release/revoke/steal
+  sequences on a bare pool, every policy's memoized ``candidates()``
+  equals a fresh per-call recompute, and grants and quota-interval
+  accounting equal a reference pool that re-sorts and checks ``fits``
+  on every lease.
 
 Replays are expensive, so the examples are few, small and derandomised;
 every example builds fresh identically-seeded systems, which keeps
@@ -24,11 +29,19 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.cloud.pool import PoolConfig, TenantRegistry, TenantSpec
+from repro.cloud.pool import (
+    DeadlineAwareGrant,
+    FifoGrant,
+    PoolConfig,
+    TenantAffinityRouter,
+    TenantRegistry,
+    TenantSpec,
+    WeightedFairGrant,
+)
 from repro.core.serving import ServingSimulator
 from repro.workloads.trace import TraceEvent, WorkloadTrace
 
-from conftest import build_small_system
+from conftest import build_pool, build_small_system
 
 REPLAY_SETTINGS = settings(
     max_examples=4,
@@ -196,3 +209,155 @@ def test_quotas_never_exceeded(
 
     # Every arrival was still served exactly once.
     assert report.n_queries == len(hot_trace) + len(quiet_trace)
+
+
+# ---------------------------------------------------------------------------
+# Memoized grant order against a per-call recompute
+# ---------------------------------------------------------------------------
+
+
+def fresh_order(policy, shard, pool) -> list:
+    """The policy's candidate order, recomputed from scratch."""
+    if isinstance(policy, FifoGrant):
+        return shard.queue[:1]
+    if isinstance(policy, DeadlineAwareGrant):
+        now = pool.simulator.now
+        return sorted(
+            shard.queue, key=lambda lease: (lease.slack_s(now), lease.seq)
+        )
+    heads: dict = {}
+    for lease in shard.queue:
+        heads.setdefault(lease.tenant, lease)
+    return sorted(
+        heads.values(),
+        key=lambda lease: (pool.normalized_service(lease.tenant), lease.seq),
+    )
+
+
+def reference_class(policy_class):
+    """``policy_class`` re-sorting on every call and checking ``fits``
+    (closing any open quota interval) on every lease it scans."""
+
+    class Reference(policy_class):
+        def candidates(self, shard, pool):
+            return fresh_order(self, shard, pool)
+
+        def select(self, shard, pool):
+            for lease in self.candidates(shard, pool):
+                if not shard.fits(lease):
+                    pool._note_capacity_block(lease)
+                    continue
+                if not pool.quota_allows(lease):
+                    pool._note_quota_block(lease)
+                    continue
+                return lease
+            return None
+
+    return Reference
+
+
+#: ``name: (policy class, constructor keywords)``.
+POLICIES = {
+    "fifo": (FifoGrant, {}),
+    "fair": (WeightedFairGrant, {}),
+    "deadline": (DeadlineAwareGrant, {}),
+    "deadline-preempt": (
+        DeadlineAwareGrant, {"preempt": True, "preempt_slack_s": 20.0}
+    ),
+}
+
+_acquire = st.tuples(
+    st.just("acquire"),
+    st.integers(min_value=0, max_value=3),  # tenant
+    st.integers(min_value=0, max_value=3),  # VMs
+    st.integers(min_value=0, max_value=3),  # SLs
+    st.sampled_from([None, 5.0, 10.0, 30.0, 60.0]),  # SLO from now
+)
+_lease_op = st.tuples(
+    st.sampled_from(["release", "revoke"]), st.integers(min_value=0)
+)
+_advance = st.tuples(st.just("advance"), st.sampled_from([0.5, 2.0, 15.0]))
+
+
+def _pool(policy):
+    return build_pool(
+        shards={
+            "a": PoolConfig(max_vms=3, max_sls=3),
+            "b": PoolConfig(max_vms=3, max_sls=2),
+        },
+        router=TenantAffinityRouter(),
+        tenants=TenantRegistry([
+            TenantSpec("t0", tier="interactive"),
+            TenantSpec("t1", max_leased_vms=2),
+            TenantSpec("t2", max_leased_sls=2, max_leased_vms=3),
+            TenantSpec("t3"),
+        ]),
+        grant_policy=policy,
+    )
+
+
+@given(
+    policy_name=st.sampled_from(sorted(POLICIES)),
+    ops=st.lists(
+        st.one_of(_acquire, _acquire, _lease_op, _advance), max_size=40
+    ),
+)
+@settings(deadline=None)
+def test_memoized_candidates_match_recompute(policy_name, ops):
+    policy_class, kwargs = POLICIES[policy_name]
+    policy = policy_class(**kwargs)
+    pool = _pool(policy)
+    reference = _pool(reference_class(policy_class)(**kwargs))
+    #: ``(lease in pool, the same request's lease in reference)``.
+    pairs: list[tuple] = []
+
+    for op in ops:
+        if op[0] == "acquire":
+            _, tenant, n_vm, n_sl, slo = op
+            if n_vm + n_sl == 0:
+                n_sl = 1
+            pair = []
+            for target in (pool, reference):
+                deadline = None if slo is None else target.simulator.now + slo
+                lease = target.acquire(
+                    n_vm, n_sl, None, tenant=f"t{tenant}", deadline_s=deadline
+                )
+                # Checkpointable, so a preempting policy has victims
+                # (it picks only batch-tier ones).
+                lease.on_preempt = lambda reason: None
+                pair.append(lease)
+            pairs.append(tuple(pair))
+        elif op[0] == "advance":
+            for target in (pool, reference):
+                target.simulator.run_until(target.simulator.now + op[1])
+        elif pairs:
+            for target, lease in zip(
+                (pool, reference), pairs[op[1] % len(pairs)]
+            ):
+                if not lease.is_granted or lease.revoked:
+                    continue
+                if op[0] == "release":
+                    target.release(lease)
+                else:
+                    target.revoke_lease(lease, "preempted")
+
+        # Memo against a per-call recompute, in the memoized pool.
+        for shard in pool.shards:
+            assert policy.candidates(shard, pool) == fresh_order(
+                policy, shard, pool
+            )
+        # Queues, grants, steals, preemptions and quota intervals against
+        # the reference pool, request by request.
+        request = {id(mine): i for i, (mine, _) in enumerate(pairs)}
+        ref_request = {id(theirs): i for i, (_, theirs) in enumerate(pairs)}
+        for shard, ref_shard in zip(pool.shards, reference.shards):
+            assert [request[id(lease)] for lease in shard.queue] == [
+                ref_request[id(lease)] for lease in ref_shard.queue
+            ]
+        for mine, theirs in pairs:
+            assert (mine.granted_at, mine.shard, mine.revoked) == (
+                theirs.granted_at, theirs.shard, theirs.revoked
+            )
+            assert mine.quota_delay_s == theirs.quota_delay_s
+            assert mine.quota_blocked_since == theirs.quota_blocked_since
+        assert pool.stats == reference.stats

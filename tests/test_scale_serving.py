@@ -28,6 +28,7 @@ import numpy as np
 import pytest
 
 from repro.cloud.pool import (
+    DeadlineAwareGrant,
     FixedKeepAlive,
     PoolConfig,
     TenantRegistry,
@@ -35,7 +36,12 @@ from repro.cloud.pool import (
 )
 from repro.core.epochs import FleetPlanner
 from repro.core.serving import ServingSimulator, ServingStream
-from repro.workloads.synthetic import make_epoch_trace, make_scale_trace
+from repro.engine.runner import RetryPolicy
+from repro.workloads.synthetic import (
+    make_chaos_plan,
+    make_epoch_trace,
+    make_scale_trace,
+)
 from repro.workloads.trace import (
     ColumnarTrace,
     PoissonTraceGenerator,
@@ -267,19 +273,37 @@ class TestReplayMemory:
     """
 
     @pytest.mark.parametrize(
-        "engine, submission", [("event", "object"), ("columnar", "vector")]
+        "engine, submission, contended",
+        [
+            pytest.param("event", "object", False, id="event-object"),
+            pytest.param("columnar", "vector", False, id="columnar-vector"),
+            pytest.param(
+                "columnar", "vector", True, id="columnar-vector-contended"
+            ),
+        ],
     )
-    def test_replay_leaves_no_cycles(self, engine, submission):
+    def test_replay_leaves_no_cycles(self, engine, submission, contended):
         system = build_uniform_system()
         trace = make_trace(n_minutes=3.0)
+        kwargs = {"pool_config": PoolConfig(max_vms=16, max_sls=16)}
+        if contended:
+            # Planner epochs, chaos retries and deadline-ordered grants
+            # on a pool small enough to queue.
+            kwargs = {
+                "pool_config": PoolConfig(max_vms=4, max_sls=4),
+                "planner": FleetPlanner(epoch_s=30.0),
+                "fault_plan": make_chaos_plan("moderate", seed=3),
+                "retry_policy": RetryPolicy(8, backoff_base_s=3.0),
+                "grant_policy": DeadlineAwareGrant(preempt=True),
+                "tenants": TenantRegistry(
+                    [TenantSpec("default", slo_latency_s=60.0)]
+                ),
+            }
         gc.collect()
         gc.disable()
         try:
             ServingSimulator(
-                system,
-                pool_config=PoolConfig(max_vms=16, max_sls=16),
-                engine=engine,
-                submission=submission,
+                system, engine=engine, submission=submission, **kwargs
             ).replay(trace)
             gc.set_debug(gc.DEBUG_SAVEALL)
             gc.collect()
