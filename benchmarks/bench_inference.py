@@ -8,8 +8,9 @@ fresh-request ``determine_batch`` decision pipeline (grid-compiled
 descent + array-form Eq. 4 against the PR 2 object pipeline), and
 micro-batched trace serving -- plus the Gaussian Process rank-1 Cholesky
 update against full refits, the fused Matern 5/2 kernel build, and the
-solo ``determine`` BO loop (one forest pass and a cached candidate Gram)
-against a per-probe reference loop.
+solo ``determine`` BO loop (one forest pass, a cached candidate Gram and
+the incremental candidate-set posterior) against a per-probe reference
+loop.
 
 Results are printed and merged into ``BENCH_inference.json`` (repo root
 by default) under a per-``(engine, mode)`` slot, so the committed file
@@ -206,16 +207,32 @@ def bench_gp(n_points: int) -> dict:
     }
 
 
+class _RowGaussianProcess:
+    """The optimizer's surrogate interface over a generic GP conditioned on
+    candidate rows, building the Matern kernel on every update."""
+
+    def __init__(self, candidates, length_scale):  # noqa: D107
+        self._candidates = candidates
+        self._gp = GaussianProcessRegressor(
+            kernel=Matern52Kernel(length_scale), noise=1e-2
+        )
+
+    def observe(self, index, value):  # noqa: D102
+        self._gp.add_observation(self._candidates[index], value)
+
+    def predict(self, indices):  # noqa: D102
+        return self._gp.predict(self._candidates[indices], return_std=True)
+
+
 class _PerProbeOptimizer(BayesianOptimizer):
-    """Conditions the surrogate on candidate rows, building the Matern
-    kernel on every update -- the optimizer before its cached Gram."""
+    """Conditions a generic GP on candidate rows, building the kernel on
+    every update -- the optimizer before its cached Gram and candidate
+    posterior."""
 
     def __init__(self, *args, **kwargs):  # noqa: D107
         super().__init__(*args, **kwargs)
-        self._index_points = self.candidates
-        self._surrogate = GaussianProcessRegressor(
-            kernel=Matern52Kernel(self._default_length_scale(self.candidates)),
-            noise=1e-2,
+        self._surrogate = _RowGaussianProcess(
+            self.candidates, self._default_length_scale(self.candidates)
         )
 
 

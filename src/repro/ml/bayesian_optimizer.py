@@ -10,10 +10,16 @@ the paper's "1 % for 10 consecutive searches" rule (Section 3.1).
 
 The search space is finite and fixed, so the surrogate's covariance is
 too: the Matern 5/2 Gram over all candidates is built once (or handed in
-by a caller that memoizes it per search space) and the GP is conditioned
-on candidate *indices* through :class:`~repro.ml.kernels.GramLookupKernel`.
-Each probe then costs a table read instead of a kernel build, and the
-posterior is bitwise the one a direct kernel evaluation would give.
+by a caller that memoizes it per search space).  The surrogate is then
+the exact GP posterior over the candidate set itself
+(:class:`CandidatePosterior`): it keeps ``V = L^-1 G[probes, :]`` for
+every candidate and grows the Cholesky factor ``L`` by one row per
+probe.  The new row's off-diagonal part is a column of ``V`` already in
+hand, so a probe costs one matrix-vector product and a few ``O(n)``
+updates instead of triangular solves, and the posterior mean and
+standard deviation are vector reads.  They equal the generic
+:class:`~repro.ml.gaussian_process.GaussianProcessRegressor` on the
+candidate rows (same noise, same target normalisation) to rounding.
 
 The optimizer records every probe in :attr:`BOResult.history`; Smartpick's
 tradeoff knob later traverses that list (the paper's *Estimated Time list*,
@@ -23,15 +29,15 @@ tradeoff knob later traverses that list (the paper's *Estimated Time list*,
 from __future__ import annotations
 
 import dataclasses
+import math
 from typing import Callable, Sequence
 
 import numpy as np
 
 from repro.ml.acquisition import AcquisitionFunction, ProbabilityOfImprovement
-from repro.ml.gaussian_process import GaussianProcessRegressor
-from repro.ml.kernels import GramLookupKernel, Matern52Kernel
+from repro.ml.kernels import Matern52Kernel
 
-__all__ = ["BayesianOptimizer", "BOResult", "Probe"]
+__all__ = ["BayesianOptimizer", "BOResult", "CandidatePosterior", "Probe"]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -40,6 +46,96 @@ class Probe:
 
     point: tuple[float, ...]
     value: float
+
+
+class CandidatePosterior:
+    """Exact GP posterior over a fixed candidate set, one probe at a time.
+
+    ``gram`` is the ``(n, n)`` prior covariance of the candidates and
+    ``noise`` the observation-noise standard deviation; as in
+    :class:`~repro.ml.gaussian_process.GaussianProcessRegressor`, the
+    probed block's diagonal carries ``noise**2 + 1e-10`` and targets are
+    standardised by their mean and standard deviation.  With ``L`` the
+    Cholesky factor of that block, ``y`` the targets and ``1`` the ones
+    vector, the state is ``V = L^-1 G[probes, :]`` with ``u = L^-1 y``
+    and ``e = L^-1 1`` as two extra columns (one preallocated row per
+    probe), and per candidate ``V^T u``, ``V^T e`` and ``sum(V**2)``.
+    The posterior mean is ``V^T u - m V^T e + m`` for target mean ``m``;
+    the variance is ``diag(G) - sum(V**2)``.
+
+    A search observes each candidate at most once, so rows are
+    preallocated for ``n`` probes; observing more (a candidate again, as
+    an independent noisy observation) doubles the buffers.
+    """
+
+    def __init__(self, gram: np.ndarray, noise: float) -> None:
+        self._gram = np.asarray(gram, dtype=np.float64)
+        n = self._gram.shape[0]
+        self._diagonal = self._gram.diagonal()
+        self._nugget = noise**2 + 1e-10
+        self._rows = np.empty((n, n + 2))
+        self._targets = np.empty(n)
+        self._moments = np.zeros((3, n))
+        self._size = 0
+
+    def observe(self, index: int, value: float) -> None:
+        """Condition on ``value`` observed at candidate ``index``.
+
+        The new Cholesky row is ``[c^T, d]`` with ``c = V[:, index]`` (the
+        solve of the cross column, already stored) and ``d`` the square
+        root of the Schur complement.  Forward substitution's last step
+        then gives the new state row, ``u`` and ``e`` entries included,
+        as ``([G[index], value, 1] - c^T [V, u, e]) / d``: one GEMV.
+        """
+        size, n = self._size, self._gram.shape[0]
+        if size == self._targets.shape[0]:
+            self._rows = np.resize(self._rows, (2 * size, n + 2))
+            self._targets = np.resize(self._targets, 2 * size)
+        rows = self._rows[:size]
+        column = rows[:, index]
+        schur = self._diagonal[index] + self._nugget - column @ column
+        if not schur > 0.0:
+            raise ValueError(
+                f"candidate {index}: non-positive Schur complement {schur:.6g}; "
+                "the Gram is not positive semi-definite"
+            )
+        row = self._rows[size]
+        row[:n] = self._gram[index]
+        row[n] = value
+        row[n + 1] = 1.0
+        row -= column @ rows
+        row /= math.sqrt(schur)
+        projection = row[:n]
+        self._moments[:2] += row[n:, None] * projection
+        self._moments[2] += projection * projection
+        self._targets[size] = value
+        self._size = size + 1
+
+    def predict(self, indices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Posterior mean and standard deviation at candidate ``indices``."""
+        center, scale = self._normalization()
+        target_fit, ones_fit, explained = self._moments[:, indices]
+        mean = target_fit - center * ones_fit + center
+        variance = self._diagonal[indices] - explained
+        np.maximum(variance, 1e-12, out=variance)
+        return mean, np.sqrt(variance) * scale
+
+    def _normalization(self) -> tuple[float, float]:
+        """The targets' mean and standard deviation (1 when degenerate).
+
+        Bitwise ``np.mean`` / ``np.std`` -- the same pairwise sums and
+        divisions -- without their per-call argument handling; an empty
+        posterior is the standard-normal prior.
+        """
+        size = self._size
+        if size == 0:
+            return 0.0, 1.0
+        targets = self._targets[:size]
+        center = float(np.add.reduce(targets)) / size
+        deviation = targets - center
+        np.square(deviation, out=deviation)
+        scale = math.sqrt(float(np.add.reduce(deviation)) / size)
+        return center, scale if scale > 1e-12 else 1.0
 
 
 @dataclasses.dataclass
@@ -130,11 +226,7 @@ class BayesianOptimizer:
             gram = self.candidate_gram(self.candidates, length_scale)
         elif np.shape(gram) != (n_candidates, n_candidates):
             raise ValueError("gram must be (n_candidates, n_candidates)")
-        # The GP's inputs are candidate indices, one float column.
-        self._index_points = np.arange(n_candidates, dtype=np.float64)[:, None]
-        self._surrogate = GaussianProcessRegressor(
-            kernel=GramLookupKernel(gram), noise=noise
-        )
+        self._surrogate = CandidatePosterior(gram, noise)
 
     @staticmethod
     def _default_length_scale(candidates: np.ndarray) -> float:
@@ -194,7 +286,7 @@ class BayesianOptimizer:
             point = self.candidates[index]
             value = float(self.objective(point))
             history.append(Probe(tuple(point.tolist()), value))
-            self._surrogate.add_observation(self._index_points[index], value)
+            self._surrogate.observe(index, value)
 
             if self._improved(value, best_value):
                 best_value = value
@@ -209,7 +301,8 @@ class BayesianOptimizer:
             if stall >= self.patience:
                 converged = True
                 break
-            if not np.any(unprobed) and not probe_queue:
+            if len(history) == n_candidates:
+                # Every candidate probed (each at most once).
                 converged = True
                 break
 
@@ -224,7 +317,7 @@ class BayesianOptimizer:
         )
 
     def _improved(self, value: float, best_value: float) -> bool:
-        if not np.isfinite(best_value):
+        if not math.isfinite(best_value):
             return True
         margin = self.improvement_threshold * max(abs(best_value), 1e-12)
         return value > best_value + margin
@@ -234,9 +327,7 @@ class BayesianOptimizer:
         remaining = np.nonzero(unprobed)[0]
         if remaining.size == 0:
             return -1
-        mean, std = self._surrogate.predict(
-            self._index_points[remaining], return_std=True
-        )
+        mean, std = self._surrogate.predict(remaining)
         scores = self.acquisition(mean, std, best_value)
         # Randomised argmax so ties do not always resolve to the lowest index.
         top = np.nonzero(scores == scores.max())[0]

@@ -6,7 +6,10 @@ models the noise in observations" and "it can precisely generate values for
 newer data points" (Section 3.1).  This module implements the textbook exact
 GP (Rasmussen & Williams, Algorithm 2.1): posterior mean and variance from a
 Cholesky factorisation of the kernel matrix, with incremental observation
-updates so the BO loop can add one point per iteration cheaply.
+updates that extend the factor by one row per point.  The Bayesian
+Optimizer itself searches a fixed candidate set and conditions the same
+posterior through :class:`~repro.ml.bayesian_optimizer.CandidatePosterior`;
+this general regressor is the reference it is tested against.
 """
 
 from __future__ import annotations

@@ -17,7 +17,6 @@ __all__ = [
     "Kernel",
     "RBFKernel",
     "Matern52Kernel",
-    "GramLookupKernel",
     "WhiteKernel",
     "SumKernel",
     "ScaledKernel",
@@ -158,43 +157,6 @@ class Matern52Kernel(Kernel):
 
     def __repr__(self) -> str:
         return f"Matern52Kernel(length_scale={self.length_scale})"
-
-
-class GramLookupKernel(Kernel):
-    """A Gram matrix precomputed over a fixed candidate set.
-
-    Points are candidate *indices* (one column, stored as float64 the
-    way the GP keeps its inputs); a call returns the ``(n, m)`` block of
-    the cached Gram.  Over a finite search space this replaces one
-    kernel build per GP update with a table read, and because every
-    block is cut from the same precomputed values, the GP's Cholesky
-    and solve steps see bitwise the inputs a direct kernel evaluation on
-    the candidate rows would give them.
-    """
-
-    def __init__(self, gram: np.ndarray) -> None:
-        gram = np.asarray(gram, dtype=np.float64)
-        if gram.ndim != 2 or gram.shape[0] != gram.shape[1]:
-            raise ValueError("gram must be a square matrix")
-        self.gram = gram
-
-    @staticmethod
-    def _indices(points: np.ndarray) -> np.ndarray:
-        return _as_matrix(points)[:, 0].astype(np.intp)
-
-    def __call__(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        # ``gram[np.ix_(a, b)]`` in C order, like a freshly built Gram
-        # (the GP's matrix products must see the same layout, not just
-        # the same values); two ``take`` passes are the cheapest route.
-        return self.gram.take(self._indices(a), axis=0).take(
-            self._indices(b), axis=1
-        )
-
-    def diagonal(self, a: np.ndarray) -> np.ndarray:
-        return self.gram.diagonal()[self._indices(a)]
-
-    def __repr__(self) -> str:
-        return f"GramLookupKernel(n={self.gram.shape[0]})"
 
 
 class WhiteKernel(Kernel):

@@ -34,7 +34,7 @@ from repro.core.predictor import (
 )
 from repro.ml.bayesian_optimizer import BayesianOptimizer
 from repro.ml.dataset import Dataset
-from repro.ml.kernels import GramLookupKernel, Matern52Kernel
+from repro.ml.kernels import Matern52Kernel
 
 AWS_PROFILE = get_provider("aws")
 AWS_PRICES = get_prices("aws")
@@ -185,23 +185,24 @@ def predictor() -> WorkloadPredictor:
 
 
 @pytest.mark.parametrize("mode, caps", _GRIDS)
-def test_lookup_kernel_matches_matern_bitwise(mode, caps):
+def test_candidate_gram_matches_matern_bitwise(mode, caps):
+    # The BO posterior reads its prior covariance from this one Gram, so
+    # every block of it must be bitwise what a direct Matern build on the
+    # candidate rows gives.
     grid = WorkloadPredictor(
         AWS_PROFILE, AWS_PRICES, max_vm=12, max_sl=12
     ).candidate_grid(mode, *caps)
     matern = Matern52Kernel(BayesianOptimizer._default_length_scale(grid))
-    lookup = GramLookupKernel(BayesianOptimizer.candidate_gram(grid))
+    gram = BayesianOptimizer.candidate_gram(grid)
+    assert gram.tobytes() == matern(grid, grid).tobytes()
+    assert gram.diagonal().tobytes() == matern.diagonal(grid).tobytes()
     rng = np.random.default_rng(grid.shape[0])
     n = grid.shape[0]
     for _ in range(40):
         a = rng.choice(n, size=int(rng.integers(1, min(n, 25) + 1)), replace=False)
         b = rng.choice(n, size=int(rng.integers(1, min(n, 25) + 1)), replace=False)
         expected = matern(grid[a], grid[b])
-        got = lookup(a.astype(np.float64)[:, None], b.astype(np.float64)[:, None])
-        assert got.flags.c_contiguous
-        assert got.tobytes() == expected.tobytes()
-    everything = np.arange(n, dtype=np.float64)[:, None]
-    assert lookup.diagonal(everything).tobytes() == matern.diagonal(grid).tobytes()
+        assert gram[np.ix_(a, b)].tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize("mode, caps", _GRIDS)

@@ -292,11 +292,29 @@ def test_grid_select_with_external_best(entries, epsilon):
 
 # ---------------------------------------------------------------------------
 # Solo determination: the table-driven BO loop (one forest pass, cached
-# candidate Gram) makes exactly the decision a per-probe loop makes -- one
-# forest call per probe, a Matern kernel build per surrogate update, and a
-# batched re-predict of the probes -- for any request, mode, quota caps,
-# knob, probe budget and generator state.
+# candidate Gram, incremental candidate-set posterior) makes exactly the
+# decision a per-probe loop makes -- one forest call per probe, a generic
+# GP with a Matern kernel build per surrogate update, and a batched
+# re-predict of the probes -- for any request, mode, quota caps, knob,
+# probe budget and generator state.
 # ---------------------------------------------------------------------------
+
+
+class _RowGaussianProcess:
+    """The optimizer's surrogate interface over a generic GP conditioned on
+    candidate rows, building the Matern kernel on every update."""
+
+    def __init__(self, candidates, length_scale):
+        self._candidates = candidates
+        self._gp = GaussianProcessRegressor(
+            kernel=Matern52Kernel(length_scale), noise=1e-2
+        )
+
+    def observe(self, index, value):
+        self._gp.add_observation(self._candidates[index], value)
+
+    def predict(self, indices):
+        return self._gp.predict(self._candidates[indices], return_std=True)
 
 
 class _PerProbeOptimizer(BayesianOptimizer):
@@ -304,10 +322,8 @@ class _PerProbeOptimizer(BayesianOptimizer):
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self._index_points = self.candidates
-        self._surrogate = GaussianProcessRegressor(
-            kernel=Matern52Kernel(self._default_length_scale(self.candidates)),
-            noise=1e-2,
+        self._surrogate = _RowGaussianProcess(
+            self.candidates, self._default_length_scale(self.candidates)
         )
 
 
