@@ -12,10 +12,9 @@ minimises predicted completion time).  ``best_value`` is therefore the
 largest objective value observed so far.
 
 The Gaussian cdf is :func:`scipy.special.ndtr` -- the function
-``scipy.stats.norm.cdf`` evaluates underneath -- and the pdf is
-:func:`_normal_pdf`, the closed form ``scipy.stats.norm.pdf`` evaluates;
-both skip the distribution wrapper's per-call argument handling (the BO
-loop scores candidates on every probe).
+``scipy.stats.norm.cdf`` evaluates underneath, without the distribution
+wrapper's per-call argument handling (the BO loop scores candidates on
+every probe).
 """
 
 from __future__ import annotations
@@ -24,6 +23,7 @@ import abc
 
 import numpy as np
 from scipy.special import ndtr
+from scipy.stats import norm
 
 __all__ = [
     "AcquisitionFunction",
@@ -32,18 +32,6 @@ __all__ = [
     "UpperConfidenceBound",
     "make_acquisition",
 ]
-
-_SQRT_2PI = np.sqrt(2 * np.pi)
-
-
-def _normal_pdf(z: np.ndarray) -> np.ndarray:
-    """Standard normal density, bitwise ``scipy.stats.norm.pdf(z)``.
-
-    The expression is scipy's own; ``exp(-inf)`` gives the wrapper's 0 at
-    ``z = +-inf``, and a ``nan`` input gives ``nan`` (possibly with the
-    sign bit set, where the wrapper writes a positive ``nan``).
-    """
-    return np.exp(-z**2/2.0) / _SQRT_2PI
 
 
 class AcquisitionFunction(abc.ABC):
@@ -103,7 +91,7 @@ class ExpectedImprovement(AcquisitionFunction):
         std = np.maximum(np.asarray(std, dtype=np.float64), 1e-12)
         improvement = mean - best_value - self.xi
         z = improvement / std
-        return improvement * ndtr(z) + std * _normal_pdf(z)
+        return improvement * ndtr(z) + std * norm.pdf(z)
 
     def __repr__(self) -> str:
         return f"ExpectedImprovement(xi={self.xi})"

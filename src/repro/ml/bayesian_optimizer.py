@@ -216,6 +216,8 @@ class BayesianOptimizer:
             raise ValueError("improvement_threshold must be non-negative")
         if patience < 1:
             raise ValueError("patience must be at least 1")
+        if noise < 0:
+            raise ValueError("noise must be non-negative")
         self.acquisition = acquisition or ProbabilityOfImprovement()
         self.n_initial = min(n_initial, self.candidates.shape[0])
         self.improvement_threshold = improvement_threshold

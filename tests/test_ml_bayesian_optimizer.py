@@ -2,7 +2,6 @@
 
 import numpy as np
 import pytest
-from scipy.stats import norm
 
 from repro.ml import (
     BayesianOptimizer,
@@ -11,7 +10,6 @@ from repro.ml import (
     UpperConfidenceBound,
     make_acquisition,
 )
-from repro.ml.acquisition import _normal_pdf
 
 
 class TestAcquisitions:
@@ -30,22 +28,6 @@ class TestAcquisitions:
         ei = ExpectedImprovement(xi=0.0)
         score = ei(np.array([-100.0]), np.array([1e-9]), best_value=0.0)
         assert score[0] == pytest.approx(0.0, abs=1e-12)
-
-    def test_normal_pdf_matches_scipy_bitwise(self):
-        z = np.concatenate([
-            np.linspace(-40.0, 40.0, 4001),
-            np.random.default_rng(3).normal(0.0, 5.0, 2000),
-            [0.0, -0.0, 1e-300, -1e-300, 1e300, -1e300, 38.6, 38.7],
-            [np.inf, -np.inf, np.nan],
-        ])
-        with np.errstate(over="ignore"):
-            got, expected = _normal_pdf(z), norm.pdf(z)
-        # Bitwise wherever the density is a number; a nan input gives nan
-        # (the wrapper's is the positive quiet nan, exp's keeps the sign).
-        finite = ~np.isnan(expected)
-        assert got[finite].tobytes() == expected[finite].tobytes()
-        assert np.array_equal(np.isnan(got), ~finite)
-        assert got[-3:-1].tolist() == [0.0, 0.0]
 
     def test_ei_increases_with_mean(self):
         ei = ExpectedImprovement()
@@ -168,6 +150,8 @@ class TestBayesianOptimizer:
             BayesianOptimizer(lambda p: 0.0, _grid_1d(), patience=0)
         with pytest.raises(ValueError):
             BayesianOptimizer(lambda p: 0.0, _grid_1d(), n_initial=0)
+        with pytest.raises(ValueError, match="noise"):
+            BayesianOptimizer(lambda p: 0.0, _grid_1d(), noise=-0.1)
         bo = BayesianOptimizer(lambda p: 0.0, _grid_1d())
         with pytest.raises(ValueError):
             bo.maximize(0)

@@ -297,6 +297,14 @@ def test_grid_select_with_external_best(entries, epsilon):
 # GP with a Matern kernel build per surrogate update, and a batched
 # re-predict of the probes -- for any request, mode, quota caps, knob,
 # probe budget and generator state.
+#
+# The two surrogates agree to about 1e-11, not bitwise, so equal decisions
+# and generator states rest on the acquisition having no near-tie: the
+# argmax keeps exact ties only (drawing from the generator to break them),
+# and PI saturates to exactly 0 or 1, so a rounding-level difference next
+# to a saturation boundary could change the tied set and with it the
+# draws.  No example has hit that yet; a failure here whose surrogate
+# means differ only in the last few bits is this effect, not a regression.
 # ---------------------------------------------------------------------------
 
 
