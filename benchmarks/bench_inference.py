@@ -55,7 +55,10 @@ from repro.core.tradeoff import (  # noqa: E402
 )
 from repro.ml.dataset import Dataset  # noqa: E402
 from repro.ml import forest_native  # noqa: E402
-from repro.ml.bayesian_optimizer import BayesianOptimizer  # noqa: E402
+from repro.ml.bayesian_optimizer import (  # noqa: E402
+    BayesianOptimizer,
+    NativePosterior,
+)
 from repro.ml.forest_native import kernel_name  # noqa: E402
 from repro.ml.gaussian_process import GaussianProcessRegressor  # noqa: E402
 from repro.ml.kernels import Matern52Kernel  # noqa: E402
@@ -295,6 +298,23 @@ def _decision_signature(decision) -> tuple:
     )
 
 
+def _native_bo_steps(run):
+    """``run()``'s result and how many native BO probe steps it made."""
+    steps = 0
+    observe_and_rank = NativePosterior.observe_and_rank
+
+    def counted(self, *args):
+        nonlocal steps
+        steps += 1
+        return observe_and_rank(self, *args)
+
+    NativePosterior.observe_and_rank = counted
+    try:
+        return run(), steps
+    finally:
+        NativePosterior.observe_and_rank = observe_and_rank
+
+
 def bench_solo_determine(
     predictor: WorkloadPredictor, n_queries: int, repeats: int
 ) -> dict:
@@ -303,7 +323,9 @@ def bench_solo_determine(
     generator's end state) asserted bitwise equal first.  The surrogates
     agree to rounding only, so equality holds while no acquisition score
     sits in a near-tie at PI's saturation (see the matching property in
-    ``tests/test_properties.py``)."""
+    ``tests/test_properties.py``).  With the native kernel loaded the
+    table-driven loop must rank through the native BO step, so a silent
+    fall back to the numpy posterior fails the bench."""
     requests = [
         PredictionRequest(
             query_id=f"q{i}",
@@ -332,7 +354,11 @@ def bench_solo_determine(
             ]
 
         state = predictor._rng.bit_generator.state
-        table = table_driven()
+        table, native_steps = _native_bo_steps(table_driven)
+        if forest_native.load_kernel() is not None:
+            assert native_steps > 0, (
+                f"solo_determine {name}: the native BO step never ran"
+            )
         table_state = predictor._rng.bit_generator.state
         predictor._rng.bit_generator.state = state
         reference = per_probe()

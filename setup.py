@@ -1,8 +1,9 @@
-"""Legacy setup shim.
+"""Package metadata and legacy setup shim.
 
-The offline build environment lacks the ``wheel`` package, so PEP 660
-editable installs fail; this shim lets ``pip install -e .`` use the legacy
-``setup.py develop`` path.  All metadata lives in ``pyproject.toml``.
+This file is the package's only build configuration (there is no
+``pyproject.toml``).  The offline build environment lacks the ``wheel``
+package, so PEP 660 editable installs fail; ``pip install -e .`` then
+takes the legacy ``setup.py develop`` path.
 """
 
 from setuptools import find_packages, setup

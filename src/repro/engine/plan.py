@@ -12,10 +12,17 @@ A ``PlanRunner`` reproduces the ``TaskScheduler`` semantics *exactly*
 (same dispatch rule, same relay retirements, same release ordering) but
 simulates the whole query locally at lease-grant time with a tiny
 private heap, and schedules only the externally visible moments on the
-global simulator: per-instance releases and the query completion (plus
-per-task-start counter marks when a fault injector is armed, so
-mid-flight revocation accounting stays exact).  A 100-task query that
-used to cost >200 global heap events costs 2-5.
+global simulator: per-instance releases and the query completion.  A
+100-task query that used to cost >200 global heap events costs 2-5.
+
+Per-instance counters (``busy_seconds``, ``tasks_executed``) are applied
+lazily: an instance's tasks are added when it is released or the query
+completes, and on a fault revocation at time ``t`` only the tasks that
+started strictly before ``t`` are (fault kills are armed at hand-over,
+before the grant, so a kill sorts ahead of a task start at the same
+instant).  Nothing reads an exclusively leased instance's counters in
+between, so every instance ends with the counters ``mark_busy`` at each
+task start would have given it, summed in the same order.
 
 Noise convention: a runner draws its query's entire duration-noise
 block in one vectorized call at submit time and consumes it in
@@ -38,6 +45,7 @@ with a nonzero provider ``noise_sigma``.
 
 from __future__ import annotations
 
+import bisect
 import heapq
 from typing import TYPE_CHECKING, Callable
 
@@ -160,8 +168,8 @@ class PlanRunner:
         "_completed_at",
         "_handles",
         "_instances",
+        "_starts_by_inst",
         "_durs_by_inst",
-        "_counters_deferred",
         "_metrics",
     )
 
@@ -191,8 +199,8 @@ class PlanRunner:
         self._completed_at: float | None = None
         self._handles: list[object] = []
         self._instances: list[object] = []
+        self._starts_by_inst: list[list[float]] = []
         self._durs_by_inst: list[list[float]] = []
-        self._counters_deferred = False
         self._metrics: QueryMetrics | None = None
 
     @property
@@ -281,12 +289,12 @@ class PlanRunner:
         else:
             factors = [pool.runtime_factor(inst) for inst in instances]
 
-        # Single-wave closed form: one stage, no relay retirements, no
-        # fault marks, every worker ready at the same instant and enough
-        # slots for every task.  The event loop below then degenerates
-        # to "fill workers in hand-over order, complete at the longest
-        # task" -- computed directly, without the local heap.
-        if factors is None and not pairs and plan.n_stages == 1:
+        # Single-wave closed form: one stage, no relay retirements, every
+        # worker ready at the same instant and enough slots for every
+        # task.  The event loop below then degenerates to "fill workers
+        # in hand-over order, complete at the longest task" -- computed
+        # directly, without the local heap.
+        if not pairs and plan.n_stages == 1:
             t0 = boot_times[0]
             uniform = t0 is not None
             if uniform:
@@ -299,7 +307,7 @@ class PlanRunner:
                 for inst in instances:
                     slots += inst.vcpus
                 if slots >= plan.total_tasks:
-                    self._single_wave(lease, instances, n_vm, t0)
+                    self._single_wave(lease, instances, n_vm, t0, factors)
                     return
 
         # -- local state ------------------------------------------------
@@ -480,22 +488,17 @@ class PlanRunner:
         metrics.end_time = completion_at
         self._metrics = metrics
 
-        # -- per-instance counter bookkeeping ---------------------------
+        # -- per-instance counter bookkeeping (applied lazily) -----------
+        starts_by_inst: list[list[float]] = [[] for _ in range(n_inst)]
         durs_by_inst: list[list[float]] = [[] for _ in range(n_inst)]
-        for _t0, idx, d in starts:
+        for t0, idx, d in starts:
+            starts_by_inst[idx].append(t0)
             durs_by_inst[idx].append(d)
+        self._starts_by_inst = starts_by_inst
         self._durs_by_inst = durs_by_inst
-        self._counters_deferred = injector is None
 
         # -- externally visible events ----------------------------------
         handles = self._handles
-        if injector is not None:
-            # Revocation reads instance.tasks_executed mid-flight, so the
-            # counters must advance at the exact task-start instants.
-            for t0, idx, d in starts:
-                handles.append(
-                    sim.schedule_at(t0, _MarkBusy(instances[idx], d))
-                )
         for idx in preboot:
             pool.cancel_pending_boot(lease, instances[idx])
         for t0, idx in releases:
@@ -511,6 +514,7 @@ class PlanRunner:
         instances: list,
         n_vm: int,
         t0: float,
+        factors: list[float] | None,
     ) -> None:
         """Closed-form grant for the one-stage, one-wave case.
 
@@ -518,8 +522,11 @@ class PlanRunner:
         hand-over order at the shared instant ``t0``, and each READY
         fills the new worker to capacity before the next pops -- i.e.
         tasks fill instances sequentially, task ``j`` consuming
-        ``noise[j]``.  With no relay pairs nothing retires early, so the
-        only global event is the completion at ``t0 + max(duration)``.
+        ``noise[j]``.  A task's duration is clamped to 1 ms and then
+        scaled by its instance's fault-injector runtime factor
+        (``factors``, ``None`` without an injector), as ``dispatch``
+        does.  With no relay pairs nothing retires early, so the only
+        global event is the completion at ``t0 + max(duration)``.
         """
         plan = self.plan
         noise = self._noise
@@ -540,11 +547,14 @@ class PlanRunner:
                 durs_by_inst.append([])
                 continue
             expected = expected_vm if idx < n_vm else expected_sl
+            factor = 1.0 if factors is None else factors[idx]
             durs = []
             for j in range(cursor, cursor + take):
                 d = expected * (1.0 + noise[j])
                 if d < 1e-3:
                     d = 1e-3
+                if factor != 1.0:
+                    d *= factor
                 durs.append(d)
                 if d > max_d:
                     max_d = d
@@ -572,8 +582,9 @@ class PlanRunner:
         metrics.end_time = completion_at
         self._metrics = metrics
 
+        # Every task of the wave starts at t0: one shared start list.
+        self._starts_by_inst = [[t0] * total] * len(instances)
         self._durs_by_inst = durs_by_inst
-        self._counters_deferred = True
         self._handles.append(
             self.pool.simulator.schedule_at(completion_at, self._complete)
         )
@@ -583,28 +594,24 @@ class PlanRunner:
     # Scheduled callbacks
     # ------------------------------------------------------------------
 
-    def _apply_counters(self, idx: int) -> None:
-        # Bulk-apply what mark_busy would have accumulated task by task;
-        # the instance is exclusively leased, so nothing reads the
-        # counters between its first task start and this release.
+    def _apply_counters(self, idx: int, durs: list[float]) -> None:
+        # Bulk-apply what mark_busy would have accumulated task by task
+        # (see the module docstring).
         inst = self._instances[idx]
-        durs = self._durs_by_inst[idx]
         for d in durs:
             inst.busy_seconds += d
         inst.tasks_executed += len(durs)
 
     def _release_one(self, idx: int) -> None:
-        if self._counters_deferred:
-            self._apply_counters(idx)
+        self._apply_counters(idx, self._durs_by_inst[idx])
+        self._durs_by_inst[idx] = []  # applied
         self.pool.release_instance(self.lease, self._instances[idx])
 
     def _complete(self) -> None:
         lease = self.lease
         assert lease is not None
-        if self._counters_deferred:
-            for idx, inst in enumerate(self._instances):
-                if lease.is_active(inst):
-                    self._apply_counters(idx)
+        for idx, durs in enumerate(self._durs_by_inst):
+            self._apply_counters(idx, durs)
         self.pool.release(lease)
         duration = (
             self._completed_at - self._submitted_at
@@ -637,24 +644,17 @@ class PlanRunner:
         self.failed = True
         self.failure_reason = reason
         sim = self.pool.simulator
+        now = sim.now
+        # Only the tasks already started count; a task starting at this
+        # very instant sorts after the kill that revoked the lease.
+        for idx, starts in enumerate(self._starts_by_inst):
+            started = bisect.bisect_left(starts, now)
+            self._apply_counters(idx, self._durs_by_inst[idx][:started])
         for handle in self._handles:
             sim.cancel(handle)
         self._handles.clear()
         if self.on_failed is not None:
             self.on_failed(self, reason)
-
-
-class _MarkBusy:
-    """A scheduled task-start counter mark (fault-injection mode)."""
-
-    __slots__ = ("instance", "duration")
-
-    def __init__(self, instance: object, duration: float) -> None:
-        self.instance = instance
-        self.duration = duration
-
-    def __call__(self) -> None:
-        self.instance.mark_busy(self.duration)
 
 
 class _ReleaseOne:

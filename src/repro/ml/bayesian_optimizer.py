@@ -21,6 +21,14 @@ standard deviation are vector reads.  They equal the generic
 :class:`~repro.ml.gaussian_process.GaussianProcessRegressor` on the
 candidate rows (same noise, same target normalisation) to rounding.
 
+With the compiled kernel of :mod:`repro.ml.forest_native` available the
+optimizer keeps that posterior in :class:`NativePosterior` instead: the
+same algebra in buffers allocated once per optimizer, where one
+``bo_step`` call conditions on a probe and, under the paper's PI, also
+ranks the unprobed candidates.  A PI probe then costs one ctypes call;
+the loop, the objective, the stall rule and the tie-breaking draws stay
+here, so the generator stream is the numpy path's.
+
 The optimizer records every probe in :attr:`BOResult.history`; Smartpick's
 tradeoff knob later traverses that list (the paper's *Estimated Time list*,
 ``ET_l``) to pick a cheaper configuration within the latency tolerance.
@@ -28,16 +36,25 @@ tradeoff knob later traverses that list (the paper's *Estimated Time list*,
 
 from __future__ import annotations
 
+import ctypes
 import dataclasses
 import math
 from typing import Callable, Sequence
 
 import numpy as np
+from scipy.special import ndtr
 
+from repro.ml import forest_native
 from repro.ml.acquisition import AcquisitionFunction, ProbabilityOfImprovement
 from repro.ml.kernels import Matern52Kernel
 
-__all__ = ["BayesianOptimizer", "BOResult", "CandidatePosterior", "Probe"]
+__all__ = [
+    "BayesianOptimizer",
+    "BOResult",
+    "CandidatePosterior",
+    "NativePosterior",
+    "Probe",
+]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -138,6 +155,118 @@ class CandidatePosterior:
         return center, scale if scale > 1e-12 else 1.0
 
 
+class NativePosterior:
+    """:class:`CandidatePosterior` stepped by the compiled ``bo_step``.
+
+    The same posterior over the same ``gram`` and ``noise``, held in one
+    block allocated once with its data addresses taken once, so a probe
+    is one ctypes call.  ``unprobed`` is the caller's boolean mask of the
+    candidates PI may pick, read by :meth:`observe_and_rank`.  Means and
+    standard deviations match the numpy class to rounding (the GEMV sums
+    in another order); the target normalisation is bitwise the same.
+    """
+
+    def __init__(
+        self, gram: np.ndarray, noise: float, unprobed: np.ndarray, kernel
+    ) -> None:
+        self._gram = np.ascontiguousarray(gram, dtype=np.float64)
+        self._n = n = self._gram.shape[0]
+        if self._gram.shape != (n, n):
+            raise ValueError("gram must be a square (n, n) matrix")
+        if (
+            unprobed.dtype != np.bool_
+            or unprobed.shape != (n,)
+            or not unprobed.flags.c_contiguous
+        ):
+            raise ValueError("unprobed must be a contiguous (n,) boolean mask")
+        self._unprobed = unprobed  # the kernel reads it
+        self._step = kernel.bo_step
+        self._state = state = forest_native.BO_STATE()
+        self._address = ctypes.addressof(state)
+        state.gram = self._gram.ctypes.data
+        state.unprobed = unprobed.ctypes.data
+        state.n = n
+        state.nugget = noise**2 + 1e-10
+        self._capacity = 0
+        self._grow(n)
+
+    def _grow(self, capacity: int) -> None:
+        """Room for ``capacity`` observations.
+
+        One block holds the moments ``(3, n)``, the mean, the standard
+        deviation, PI's contenders' z-scores and indices, then the
+        ``[V | u | e]`` rows, the targets and the normalisation scratch.
+        """
+        n, size = self._n, self._state.size
+        fixed = 7 * n
+        width = n + 2
+        block = np.empty(fixed + capacity * (width + 2))
+        block[:fixed] = self._block[:fixed] if size else 0.0
+        rows = block[fixed : fixed + capacity * width].reshape(capacity, width)
+        targets = block[fixed + capacity * width :][:capacity]
+        if size:
+            rows[:size] = self._rows[:size]
+            targets[:size] = self._targets[:size]
+        self._block, self._rows, self._targets = block, rows, targets
+        self.mean = block[3 * n : 4 * n]
+        self.std = block[4 * n : 5 * n]
+        self.near_z = block[5 * n : 6 * n]
+        self.near = block[6 * n : fixed].view(np.int64)
+        base = block.ctypes.data
+        state = self._state
+        state.moments = base
+        state.mean = base + 8 * 3 * n
+        state.std = base + 8 * 4 * n
+        state.near_z = base + 8 * 5 * n
+        state.near = base + 8 * 6 * n
+        state.rows = base + 8 * fixed
+        state.targets = state.rows + 8 * capacity * width
+        state.deviations = state.targets + 8 * capacity
+        self._capacity = capacity
+
+    def _run(self, mode: int, index: int = -1, value: float = 0.0) -> int:
+        state = self._state
+        if index >= 0:
+            if index >= self._n:
+                raise IndexError(f"candidate {index} is out of range")
+            if state.size == self._capacity:
+                self._grow(2 * self._capacity)
+        state.index = index
+        state.value = value
+        result = self._step(self._address, mode)
+        if result == -2:
+            raise ValueError(
+                f"candidate {index}: non-positive Schur complement "
+                f"{state.schur:.6g}; the Gram is not positive semi-definite"
+            )
+        return result
+
+    def observe(self, index: int, value: float) -> None:
+        """Condition on ``value`` observed at candidate ``index``."""
+        self._run(0, index, value)
+
+    def observe_and_rank(
+        self, index: int, value: float, best_value: float, xi: float
+    ) -> int:
+        """Condition as :meth:`observe`, then rank for PI's argmax.
+
+        Leaves in ``near[:count]`` (ascending) the unprobed candidates
+        whose Probability of Improvement over ``best_value`` by ``xi``
+        could equal the best one's, and their z-scores in
+        ``near_z[:count]``, and returns ``count``: PI is ``ndtr`` of the
+        z-score, and every other candidate's PI is strictly lower.
+        """
+        state = self._state
+        state.best = best_value
+        state.xi = xi
+        return self._run(2, index, value)
+
+    def predict(self, indices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Posterior mean and standard deviation at candidate ``indices``."""
+        self._run(1)
+        return self.mean[indices], self.std[indices]
+
+
 @dataclasses.dataclass
 class BOResult:
     """Outcome of a :meth:`BayesianOptimizer.maximize` run."""
@@ -228,7 +357,13 @@ class BayesianOptimizer:
             gram = self.candidate_gram(self.candidates, length_scale)
         elif np.shape(gram) != (n_candidates, n_candidates):
             raise ValueError("gram must be (n_candidates, n_candidates)")
-        self._surrogate = CandidatePosterior(gram, noise)
+        self._unprobed = np.ones(n_candidates, dtype=bool)
+        kernel = forest_native.load_kernel()
+        self._surrogate: CandidatePosterior | NativePosterior = (
+            CandidatePosterior(gram, noise)
+            if kernel is None
+            else NativePosterior(gram, noise, self._unprobed, kernel)
+        )
 
     @staticmethod
     def _default_length_scale(candidates: np.ndarray) -> float:
@@ -264,12 +399,20 @@ class BayesianOptimizer:
             raise ValueError("max_iterations must be at least 1")
 
         n_candidates = self.candidates.shape[0]
-        unprobed = np.ones(n_candidates, dtype=bool)
+        unprobed = self._unprobed
+        unprobed.fill(True)
         history: list[Probe] = []
         best_value = -np.inf
         best_index = -1
         stall = 0
         converged = False
+        surrogate = self._surrogate
+        # Under PI the native step ranks the candidates itself; any other
+        # acquisition or surrogate scores through predict().
+        ranks = isinstance(surrogate, NativePosterior) and (
+            type(self.acquisition) is ProbabilityOfImprovement
+        )
+        contenders = 0
 
         initial = self._rng.choice(
             n_candidates, size=self.n_initial, replace=False
@@ -280,7 +423,11 @@ class BayesianOptimizer:
             if probe_queue:
                 index = int(probe_queue.pop(0))
             else:
-                index = self._next_index(unprobed, best_value)
+                index = (
+                    self._ranked_index(contenders)
+                    if ranks
+                    else self._next_index(unprobed, best_value)
+                )
                 if index < 0:
                     converged = True
                     break
@@ -288,7 +435,6 @@ class BayesianOptimizer:
             point = self.candidates[index]
             value = float(self.objective(point))
             history.append(Probe(tuple(point.tolist()), value))
-            self._surrogate.observe(index, value)
 
             if self._improved(value, best_value):
                 best_value = value
@@ -300,11 +446,16 @@ class BayesianOptimizer:
                     best_value = value
                     best_index = index
                 stall += 1
-            if stall >= self.patience:
-                converged = True
-                break
-            if len(history) == n_candidates:
-                # Every candidate probed (each at most once).
+            # Stop once stalled, or once every candidate is probed (each
+            # at most once).
+            done = stall >= self.patience or len(history) == n_candidates
+            if ranks and not done and not probe_queue:
+                contenders = surrogate.observe_and_rank(
+                    index, value, best_value, self.acquisition.xi
+                )
+            else:
+                surrogate.observe(index, value)
+            if done:
                 converged = True
                 break
 
@@ -331,7 +482,20 @@ class BayesianOptimizer:
             return -1
         mean, std = self._surrogate.predict(remaining)
         scores = self.acquisition(mean, std, best_value)
+        return int(remaining[self._argmax(scores)])
+
+    def _ranked_index(self, contenders: int) -> int:
+        """PI's pick from the native step's ranking (see
+        :meth:`NativePosterior.observe_and_rank`)."""
+        surrogate = self._surrogate
+        if contenders == 1:
+            return int(surrogate.near[0])
+        if contenders == 0:
+            return -1
+        scores = ndtr(surrogate.near_z[:contenders])
+        return int(surrogate.near[self._argmax(scores)])
+
+    def _argmax(self, scores: np.ndarray) -> int:
         # Randomised argmax so ties do not always resolve to the lowest index.
         top = np.nonzero(scores == scores.max())[0]
-        choice = top[self._rng.integers(top.size)] if top.size > 1 else top[0]
-        return int(remaining[choice])
+        return top[self._rng.integers(top.size)] if top.size > 1 else top[0]

@@ -30,6 +30,14 @@ a bitmask, consuming per-node masks precompiled on the Python side.  See
 that module for the compilation scheme; the kernel itself only does mask
 intersections, precomputed-branch lookups and an upper-bound binary
 search for the one request-scaled column.
+
+A third, ``bo_step``, is one Bayesian-optimisation probe of
+:class:`~repro.ml.bayesian_optimizer.BayesianOptimizer` over its fixed
+candidate set: it conditions the candidate-set GP posterior on the new
+observation (the Schur complement, one GEMV row and the three moment
+updates), recomputes the posterior mean and standard deviation, and
+ranks the unprobed candidates by Probability of Improvement -- all in one
+call on buffers the caller allocated once (:data:`BO_STATE`).
 """
 
 from __future__ import annotations
@@ -43,6 +51,7 @@ import tempfile
 import numpy as np
 
 __all__ = [
+    "BO_STATE",
     "NODE_DTYPE",
     "GRID_NODE_DTYPE",
     "GRID_MAX_WORDS",
@@ -296,6 +305,163 @@ void matern_gram(
         }
     }
 }
+
+/* ------------------------------------------------------------------ */
+/* Fused BO probe step (repro.ml.bayesian_optimizer)                   */
+/* ------------------------------------------------------------------ */
+
+/* The candidate-set GP posterior of CandidatePosterior, in buffers the
+ * Python side allocates once per optimizer (see that class for the
+ * algebra).  The probe's inputs travel in the state as well: ctypes
+ * converts every call argument anew, and setting a field is cheaper.
+ * Keep in sync with BO_STATE in this module. */
+typedef struct {
+    const double *gram;           /* (n, n) prior covariance */
+    double *rows;                 /* (capacity, n + 2): [V | u | e] rows */
+    double *targets;              /* (capacity,) observed values */
+    double *deviations;           /* (capacity,) scratch */
+    double *moments;              /* (3, n): V^T u, V^T e, sum(V**2) */
+    double *mean;                 /* (n,) out: posterior mean */
+    double *std;                  /* (n,) out: posterior std */
+    const unsigned char *unprobed;/* (n,) candidates PI may pick */
+    int64_t *near;                /* (n,) out: PI's contenders, ascending */
+    double *near_z;               /* (n,) out: their z-scores */
+    int64_t n;
+    int64_t size;                 /* observations so far */
+    double nugget;                /* noise**2 + 1e-10 */
+    int64_t index;                /* in: candidate observed, or -1 */
+    double value;                 /* in: its observed value */
+    double best;                  /* in: PI's incumbent */
+    double xi;                    /* in: PI's margin */
+    double schur;                 /* out: the last Schur complement */
+} BoState;
+
+/* np.add.reduce over a contiguous float64 vector, operation for
+ * operation (numpy's pairwise summation: eight accumulators up to 128
+ * elements, halving above), so the target normalisation is bitwise the
+ * numpy posterior's. */
+static double bo_pairwise_sum(const double *a, int64_t n)
+{
+    if (n < 8) {
+        double res = 0.0;
+        for (int64_t i = 0; i < n; ++i) res += a[i];
+        return res;
+    }
+    if (n <= 128) {
+        double r[8];
+        int64_t i;
+        for (int j = 0; j < 8; ++j) r[j] = a[j];
+        for (i = 8; i < n - (n % 8); i += 8)
+            for (int j = 0; j < 8; ++j) r[j] += a[i + j];
+        double res = ((r[0] + r[1]) + (r[2] + r[3])) +
+                     ((r[4] + r[5]) + (r[6] + r[7]));
+        for (; i < n; ++i) res += a[i];
+        return res;
+    }
+    int64_t half = n / 2;
+    half -= half % 8;
+    return bo_pairwise_sum(a, half) + bo_pairwise_sum(a + half, n - half);
+}
+
+/* One probe.  With index >= 0, condition on `value` observed at
+ * candidate `index` as observation number `size` (rows has room for it):
+ * the new Cholesky row's off-diagonal part is column `index` of the
+ * stored rows, so the new state row is one GEMV.  Returns -2 and leaves
+ * the state untouched when the Schur complement (stored in s->schur) is
+ * not positive.  mode 0 stops there; mode 1 also writes the posterior
+ * mean and std of every candidate; mode 2 also ranks the unprobed
+ * candidates by PI's z-score (mean - best - xi) / max(std, 1e-12) and
+ * returns how many it wrote to near / near_z: every candidate whose PI,
+ * ndtr(z), could round to the best one's.  ndtr is monotone, so those
+ * are the z-scores in [zmax - band, zmax] for a band over which ndtr
+ * moves by about 1e-12 of its value -- thousands of ulps, far more than
+ * its rounding or two implementations of it disagree by: 1e-12 times
+ * the Mills ratio ndtr(z) / pdf(z), capped at 1.  Past z = 7 the
+ * window reaches down to 7 (ndtr rounds to exactly 1 from z = 8.3 on,
+ * and ndtr(7) < 1 - 1e-12); below z = -37, where ndtr(zmax) nears
+ * subnormal range, every candidate contends. */
+int64_t bo_step(BoState *s, int64_t mode)
+{
+    const int64_t n = s->n, width = n + 2, index = s->index;
+    const double best = s->best, xi = s->xi;
+    int64_t size = s->size;
+    double *moments = s->moments;
+    if (index >= 0) {
+        const double *rows = s->rows;
+        double dot = 0.0;
+        for (int64_t k = 0; k < size; ++k) {
+            const double c = rows[k * width + index];
+            dot += c * c;
+        }
+        const double schur = (s->gram[index * n + index] + s->nugget) - dot;
+        s->schur = schur;
+        if (!(schur > 0.0)) return -2;
+        double *row = s->rows + size * width;
+        for (int64_t j = 0; j < width; ++j) row[j] = 0.0;
+        for (int64_t k = 0; k < size; ++k) {
+            const double c = rows[k * width + index];
+            const double *r = rows + k * width;
+            for (int64_t j = 0; j < width; ++j) row[j] += c * r[j];
+        }
+        const double d = sqrt(schur);
+        const double *g = s->gram + index * n;
+        for (int64_t j = 0; j < n; ++j) row[j] = (g[j] - row[j]) / d;
+        row[n] = (s->value - row[n]) / d;
+        row[n + 1] = (1.0 - row[n + 1]) / d;
+        const double u = row[n], e = row[n + 1];
+        for (int64_t j = 0; j < n; ++j) {
+            moments[j] += u * row[j];
+            moments[n + j] += e * row[j];
+            moments[2 * n + j] += row[j] * row[j];
+        }
+        s->targets[size++] = s->value;
+        s->size = size;
+    }
+    if (mode == 0) return 0;
+
+    double center = 0.0, scale = 1.0;
+    if (size > 0) {
+        center = bo_pairwise_sum(s->targets, size) / (double)size;
+        for (int64_t k = 0; k < size; ++k) {
+            const double dev = s->targets[k] - center;
+            s->deviations[k] = dev * dev;
+        }
+        scale = sqrt(bo_pairwise_sum(s->deviations, size) / (double)size);
+        if (!(scale > 1e-12)) scale = 1.0;
+    }
+    for (int64_t i = 0; i < n; ++i) {
+        s->mean[i] = (moments[i] - center * moments[n + i]) + center;
+        double variance = s->gram[i * n + i] - moments[2 * n + i];
+        if (variance < 1e-12) variance = 1e-12;
+        s->std[i] = sqrt(variance) * scale;
+    }
+    if (mode == 1) return 0;
+
+    double *z = s->near_z;
+    double zmax = -INFINITY;
+    for (int64_t i = 0; i < n; ++i) {
+        if (!s->unprobed[i]) continue;
+        const double sd = s->std[i] < 1e-12 ? 1e-12 : s->std[i];
+        z[i] = ((s->mean[i] - best) - xi) / sd;
+        if (z[i] > zmax) zmax = z[i];
+    }
+    double low = -INFINITY;
+    if (zmax > -37.0) {
+        const double mills = 0.5 * erfc(-zmax * 0.70710678118654752440) /
+            (exp(-0.5 * zmax * zmax) * 0.39894228040143267794);
+        double band = 1e-12 * mills;
+        if (!(band < 1.0)) band = 1.0;
+        low = zmax - band < 7.0 ? zmax - band : 7.0;
+    }
+    int64_t count = 0;
+    for (int64_t i = 0; i < n; ++i) {
+        if (s->unprobed[i] && z[i] >= low) {
+            s->near[count] = i;
+            z[count++] = z[i];
+        }
+    }
+    return count;
+}
 """
 
 #: Row capacity of the grid kernel's set representation (64-bit words).
@@ -304,6 +470,33 @@ GRID_MAX_WORDS = 64
 #: Mirror of ``struct GridNode`` -- keep in sync with :data:`_SOURCE`.
 #: ``lk`` packs ``left << 2 | kind``; ``thr`` doubles as the leaf value.
 GRID_NODE_DTYPE = np.dtype([("lk", "<i4"), ("aux", "<i4"), ("thr", "<f8")])
+
+
+
+class BO_STATE(ctypes.Structure):
+    """Mirror of ``BoState`` -- keep in sync with :data:`_SOURCE`."""
+
+    _fields_ = [
+        ("gram", ctypes.c_void_p),
+        ("rows", ctypes.c_void_p),
+        ("targets", ctypes.c_void_p),
+        ("deviations", ctypes.c_void_p),
+        ("moments", ctypes.c_void_p),
+        ("mean", ctypes.c_void_p),
+        ("std", ctypes.c_void_p),
+        ("unprobed", ctypes.c_void_p),
+        ("near", ctypes.c_void_p),
+        ("near_z", ctypes.c_void_p),
+        ("n", ctypes.c_int64),
+        ("size", ctypes.c_int64),
+        ("nugget", ctypes.c_double),
+        ("index", ctypes.c_int64),
+        ("value", ctypes.c_double),
+        ("best", ctypes.c_double),
+        ("xi", ctypes.c_double),
+        ("schur", ctypes.c_double),
+    ]
+
 
 _CACHE: dict[str, "_Kernel | None"] = {}
 
@@ -338,7 +531,12 @@ def _build(compiler: str, library: str) -> bool:
                 handle.write(_SOURCE)
             artifact = os.path.join(workdir, "forest.so")
             result = subprocess.run(
-                [compiler, "-O3", "-shared", "-fPIC", "-o", artifact, source],
+                # No contraction into fused multiply-adds: the kernels
+                # mirror numpy's rounding operation by operation.
+                [
+                    compiler, "-O3", "-ffp-contract=off", "-shared", "-fPIC",
+                    "-o", artifact, source,
+                ],
                 capture_output=True,
                 timeout=120,
             )
@@ -376,9 +574,12 @@ class _Entry:
     address instead; the call's own argument tuple keeps every array
     alive until the kernel returns.  ``signature`` lists a numpy dtype
     for each array argument and a ctypes type for each scalar.
+
+    ``raw`` is the bare function, taking data addresses: for callers
+    that validated their fixed arrays once and keep them alive.
     """
 
-    __slots__ = ("_function", "_dtypes")
+    __slots__ = ("raw", "_dtypes")
 
     def __init__(self, function, signature: list) -> None:
         function.argtypes = [
@@ -386,7 +587,7 @@ class _Entry:
             for kind in signature
         ]
         function.restype = None
-        self._function = function
+        self.raw = function
         self._dtypes = tuple(
             kind if isinstance(kind, np.dtype) else None for kind in signature
         )
@@ -397,7 +598,7 @@ class _Entry:
                 f"this function takes {len(self._dtypes)} arguments "
                 f"({len(args)} given)"
             )
-        self._function(*[
+        self.raw(*[
             arg if dtype is None else _data_pointer(arg, dtype, position)
             for position, (arg, dtype) in enumerate(
                 zip(args, self._dtypes), start=1
@@ -452,6 +653,14 @@ class _Kernel:
             real,             # poly out (n, m)
             real,             # neg_s out (n, m)
         ])
+        # Called once per BO probe with prebuilt state, so it skips the
+        # per-call validation of _Entry.
+        self.bo_step = lib.bo_step
+        self.bo_step.argtypes = [
+            ctypes.c_void_p,  # BoState *
+            ctypes.c_int64,   # mode
+        ]
+        self.bo_step.restype = ctypes.c_int64
 
 
 def load_kernel() -> _Kernel | None:

@@ -261,6 +261,32 @@ class GridPack:
             _pack_rows(full[None, :], self.n_words)[0]
         )
 
+        # The kernel's fixed arguments -- the tables and the walk's
+        # scratch stacks -- are validated and their data addresses taken
+        # once here, not on every call.
+        depth = max(pack.n_levels, 1) + 2
+        self._node_stack = np.empty(depth, dtype=np.int64)
+        self._set_stack = np.empty(depth * self.n_words, dtype=np.uint64)
+        pointer = forest_native._data_pointer
+        word = np.dtype(np.uint64)
+        self._grid_args = (
+            pointer(self._table, forest_native.GRID_NODE_DTYPE, 1),
+            pointer(self._static_masks, word, 2),
+            pointer(pack.roots, np.dtype(np.int64), 3),
+            self.n_trees,
+            self.n_words,
+            self.n_rows,
+            pointer(self._full_set, word, 7),
+        )
+        self._prefix_pointer = pointer(self._prefix_masks, word, 12)
+        self._stacks = (
+            pointer(self._node_stack, np.dtype(np.int64), 14),
+            pointer(self._set_stack, word, 15),
+        )
+        self._go_left = np.empty((0, self.n_branch), dtype=np.uint8)
+        self._scaled_vals = np.empty((0, self._scaled_base.size))
+        self._request_pointers = (0, 0)
+
     @staticmethod
     def available() -> bool:
         """Whether the compiled grid kernel can run in this process."""
@@ -282,11 +308,14 @@ class GridPack:
         ``(n_trees, n_req * n_rows)`` float64 -- the same layout
         ``PackedForest.tree_matrix`` produces for the requests' grid
         feature matrices stacked request-major, bitwise identical.
+
+        The pack keeps the walk's scratch and the per-request input
+        buffers between calls, so calls must not overlap.
         """
         kernel = forest_native.load_kernel()
         if kernel is None:
             raise RuntimeError("the native grid kernel is unavailable")
-        constants = np.ascontiguousarray(constants, dtype=np.float64)
+        constants = np.asarray(constants, dtype=np.float64)
         alphas = np.asarray(alphas, dtype=np.float64)
         n_req = constants.shape[0]
         if alphas.shape != (n_req,):
@@ -294,39 +323,39 @@ class GridPack:
         if n_req == 0:
             return np.empty((self.n_trees, 0), dtype=np.float64)
 
-        go_left = np.empty((n_req, self.n_branch), dtype=np.uint8)
+        if n_req > self._go_left.shape[0]:
+            self._go_left = np.empty((n_req, self.n_branch), dtype=np.uint8)
+            self._scaled_vals = np.empty((n_req, self._scaled_base.size))
+            self._request_pointers = (
+                self._go_left.ctypes.data,
+                self._scaled_vals.ctypes.data,
+            )
+        go_left = self._go_left[:n_req]
         for feature, start, stop in self._branch_groups:
-            go_left[:, start:stop] = (
-                constants[:, feature, None]
-                <= self._branch_thresholds[None, start:stop]
+            np.less_equal(
+                constants[:, feature, None],
+                self._branch_thresholds[None, start:stop],
+                out=go_left[:, start:stop],
             )
         # base * alpha, the same single multiply build_matrix performs.
-        scaled_vals = np.ascontiguousarray(
-            self._scaled_base[None, :] * alphas[:, None]
-        ).reshape(n_req, self._scaled_base.size)
+        np.multiply(
+            self._scaled_base[None, :],
+            alphas[:, None],
+            out=self._scaled_vals[:n_req],
+        )
 
-        pack = self._pack
-        depth = max(pack.n_levels, 1) + 2
-        node_stack = np.empty(depth, dtype=np.int64)
-        set_stack = np.empty(depth * self.n_words, dtype=np.uint64)
         out = np.empty(self.n_trees * n_req * self.n_rows, dtype=np.float64)
-        kernel.forest_grid_matrix(
-            self._table,
-            self._static_masks,
-            pack.roots,
-            self.n_trees,
-            self.n_words,
-            self.n_rows,
-            self._full_set,
-            go_left,
+        go_left_pointer, scaled_pointer = self._request_pointers
+        kernel.forest_grid_matrix.raw(
+            *self._grid_args,
+            go_left_pointer,
             self.n_branch,
-            scaled_vals,
+            scaled_pointer,
             self._scaled_base.size,
-            self._prefix_masks,
+            self._prefix_pointer,
             n_req,
-            node_stack,
-            set_stack,
-            out,
+            *self._stacks,
+            out.ctypes.data,
         )
         return out.reshape(self.n_trees, n_req * self.n_rows)
 

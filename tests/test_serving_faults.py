@@ -19,13 +19,21 @@ Coverage in three layers:
 
 import math
 import warnings
+from functools import partial
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.cloud import FaultInjector, FaultPlan
-from repro.cloud.instances import InstanceKind, InstanceState
+from repro.cloud.instances import (
+    InstanceKind,
+    InstanceState,
+    ServerlessInstance,
+    VMInstance,
+)
+from repro.cloud.providers import get_provider
 from repro.cloud.pool import (
     ClusterPool,
     HealthAwareRouter,
@@ -33,9 +41,11 @@ from repro.cloud.pool import (
     TenantRegistry,
     TenantSpec,
 )
+from repro.core import serving as serving_module
 from repro.core.forecast import AdaptiveBatchWindow
 from repro.core.serving import ServingSimulator
 from repro.engine import RetryPolicy, Simulator, run_query
+from repro.engine.plan import PlanRunner
 from repro.workloads import get_query
 from repro.workloads.trace import TraceEvent, WorkloadTrace
 
@@ -796,3 +806,109 @@ class TestVectorizedSubmissionEquivalence:
         assert len(event.dropped) == len(vector.dropped)
         for a, b in zip(event.dropped, vector.dropped):
             assert _dropped_fields(a) == _dropped_fields(b)
+
+
+class _EagerMarks(PlanRunner):
+    """Reference runner: every task start marks its instance's counters
+    through a scheduled event, live, as the runner did before it applied
+    them lazily.  Revocation cancels the marks not yet fired."""
+
+    __slots__ = ()
+
+    def _on_granted(self, lease) -> None:
+        super()._on_granted(lease)
+        schedule_at = self.pool.simulator.schedule_at
+        for idx, instance in enumerate(self._instances):
+            for start, duration in zip(
+                self._starts_by_inst[idx], self._durs_by_inst[idx]
+            ):
+                self._handles.append(
+                    schedule_at(start, partial(instance.mark_busy, duration))
+                )
+            self._starts_by_inst[idx] = []
+            self._durs_by_inst[idx] = []
+
+
+class TestLazyPlanCounters:
+    """Compiled plan runners apply per-instance counters lazily.
+
+    A runner adds an instance's tasks to ``busy_seconds`` and
+    ``tasks_executed`` when the instance is released or the query
+    completes, and on a revocation only the tasks that started strictly
+    before it.  Every instance must end with bitwise the counters that
+    marking each task at its start gives -- the :class:`_EagerMarks`
+    reference and, where no kill lands exactly on a task start, the
+    event engine under the presample convention -- through revocations,
+    retries, stragglers and single-wave grants alike.
+    """
+
+    def _counters(self, seed: int, engine: str, submission: str, plan):
+        created = []
+
+        def recording(cls):
+            create = cls.create.__func__
+
+            def record(kind, *args, **kwargs):
+                instance = create(kind, *args, **kwargs)
+                created.append(instance)
+                return instance
+
+            return mock.patch.object(cls, "create", classmethod(record))
+
+        system = build_small_system(
+            seed=270 + seed, n_configs_per_query=6, max_vm=6, max_sl=6
+        )
+        simulator = ServingSimulator(
+            system,
+            pool_config=PoolConfig(max_vms=12, max_sls=12),
+            engine=engine,
+            submission=submission,
+            decision_reuse=False,
+            fault_plan=plan,
+            retry_policy=RetryPolicy(max_retries=6, backoff_base_s=3.0),
+        )
+        with recording(VMInstance), recording(ServerlessInstance):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                report = simulator.replay(build_bursty_trace(8, spacing_s=5.0))
+        counters = [
+            (instance.busy_seconds, instance.tasks_executed)
+            for instance in created
+        ]
+        assert report.pool_stats.leases_revoked > 0
+        assert sum(tasks for _, tasks in counters) > 0
+        return counters, report.pool_stats
+
+    def _eager(self, seed: int, plan):
+        with mock.patch.object(serving_module, "PlanRunner", _EagerMarks):
+            return self._counters(seed, "columnar", "vector", plan)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_counters_match_eager_marks_under_chaos(self, seed):
+        plan = FaultPlan(
+            seed=seed,
+            sl_failure_rate=0.3,
+            sl_failure_delay_s=5.0,
+            vm_preemptions_per_hour=20.0,
+            boot_failure_rate=0.2,
+            straggler_rate=0.4,
+            straggler_factor=2.0,
+        )
+        lazy, _ = self._counters(seed, "columnar", "vector", plan)
+        assert lazy == self._eager(seed, plan)[0]
+        assert lazy == self._counters(seed, "event", "presample", plan)[0]
+
+    def test_a_kill_at_a_task_start_counts_none_of_its_tasks(self):
+        # A cold SL times out exactly when its boot completes, which is
+        # when its first tasks start: the kill was armed at hand-over,
+        # before the grant, so it fires first and those tasks never ran.
+        # (The event engine starts them first -- its boot event was
+        # scheduled before the kill -- so it is no reference here.)
+        plan = FaultPlan(
+            seed=0,
+            sl_timeout_rate=0.5,
+            sl_timeout_s=get_provider("aws").sl_boot_seconds,
+        )
+        lazy, stats = self._counters(0, "columnar", "vector", plan)
+        assert stats.sl_timeouts > 0
+        assert lazy == self._eager(0, plan)[0]
