@@ -301,18 +301,18 @@ def _decision_signature(decision) -> tuple:
 def _native_bo_steps(run):
     """``run()``'s result and how many native BO probe steps it made."""
     steps = 0
-    observe_and_rank = NativePosterior.observe_and_rank
+    observe_and_score = NativePosterior.observe_and_score
 
     def counted(self, *args):
         nonlocal steps
         steps += 1
-        return observe_and_rank(self, *args)
+        return observe_and_score(self, *args)
 
-    NativePosterior.observe_and_rank = counted
+    NativePosterior.observe_and_score = counted
     try:
         return run(), steps
     finally:
-        NativePosterior.observe_and_rank = observe_and_rank
+        NativePosterior.observe_and_score = observe_and_score
 
 
 def bench_solo_determine(
@@ -324,7 +324,7 @@ def bench_solo_determine(
     agree to rounding only, so equality holds while no acquisition score
     sits in a near-tie at PI's saturation (see the matching property in
     ``tests/test_properties.py``).  With the native kernel loaded the
-    table-driven loop must rank through the native BO step, so a silent
+    table-driven loop must score through the native BO step, so a silent
     fall back to the numpy posterior fails the bench."""
     requests = [
         PredictionRequest(

@@ -25,9 +25,10 @@ With the compiled kernel of :mod:`repro.ml.forest_native` available the
 optimizer keeps that posterior in :class:`NativePosterior` instead: the
 same algebra in buffers allocated once per optimizer, where one
 ``bo_step`` call conditions on a probe and, under the paper's PI, also
-ranks the unprobed candidates.  A PI probe then costs one ctypes call;
-the loop, the objective, the stall rule and the tie-breaking draws stay
-here, so the generator stream is the numpy path's.
+writes the unprobed candidates' z-scores.  A PI probe then costs one
+ctypes call and one ``ndtr``; the loop, the objective, the stall rule and
+the tie-breaking argmax stay here, so the generator stream is the numpy
+path's.
 
 The optimizer records every probe in :attr:`BOResult.history`; Smartpick's
 tradeoff knob later traverses that list (the paper's *Estimated Time list*,
@@ -161,7 +162,7 @@ class NativePosterior:
     The same posterior over the same ``gram`` and ``noise``, held in one
     block allocated once with its data addresses taken once, so a probe
     is one ctypes call.  ``unprobed`` is the caller's boolean mask of the
-    candidates PI may pick, read by :meth:`observe_and_rank`.  Means and
+    candidates PI may pick, read by :meth:`observe_and_score`.  Means and
     standard deviations match the numpy class to rounding (the GEMV sums
     in another order); the target normalisation is bitwise the same.
     """
@@ -194,7 +195,7 @@ class NativePosterior:
         """Room for ``capacity`` observations.
 
         One block holds the moments ``(3, n)``, the mean, the standard
-        deviation, PI's contenders' z-scores and indices, then the
+        deviation, the unprobed candidates' z-scores and indices, then the
         ``[V | u | e]`` rows, the targets and the normalisation scratch.
         """
         n, size = self._n, self._state.size
@@ -210,15 +211,15 @@ class NativePosterior:
         self._block, self._rows, self._targets = block, rows, targets
         self.mean = block[3 * n : 4 * n]
         self.std = block[4 * n : 5 * n]
-        self.near_z = block[5 * n : 6 * n]
-        self.near = block[6 * n : fixed].view(np.int64)
+        self.remaining_z = block[5 * n : 6 * n]
+        self.remaining = block[6 * n : fixed].view(np.int64)
         base = block.ctypes.data
         state = self._state
         state.moments = base
         state.mean = base + 8 * 3 * n
         state.std = base + 8 * 4 * n
-        state.near_z = base + 8 * 5 * n
-        state.near = base + 8 * 6 * n
+        state.remaining_z = base + 8 * 5 * n
+        state.remaining = base + 8 * 6 * n
         state.rows = base + 8 * fixed
         state.targets = state.rows + 8 * capacity * width
         state.deviations = state.targets + 8 * capacity
@@ -245,16 +246,16 @@ class NativePosterior:
         """Condition on ``value`` observed at candidate ``index``."""
         self._run(0, index, value)
 
-    def observe_and_rank(
+    def observe_and_score(
         self, index: int, value: float, best_value: float, xi: float
     ) -> int:
-        """Condition as :meth:`observe`, then rank for PI's argmax.
+        """Condition as :meth:`observe`, then score the unprobed candidates.
 
-        Leaves in ``near[:count]`` (ascending) the unprobed candidates
-        whose Probability of Improvement over ``best_value`` by ``xi``
-        could equal the best one's, and their z-scores in
-        ``near_z[:count]``, and returns ``count``: PI is ``ndtr`` of the
-        z-score, and every other candidate's PI is strictly lower.
+        Leaves in ``remaining[:count]`` (ascending) the unprobed
+        candidates and in ``remaining_z[:count]`` their Probability of
+        Improvement z-scores over ``best_value`` by ``xi``, bitwise the
+        ones :class:`ProbabilityOfImprovement` computes from this
+        posterior's mean and std, and returns ``count``.
         """
         state = self._state
         state.best = best_value
@@ -407,12 +408,12 @@ class BayesianOptimizer:
         stall = 0
         converged = False
         surrogate = self._surrogate
-        # Under PI the native step ranks the candidates itself; any other
+        # Under PI the native step computes the z-scores itself; any other
         # acquisition or surrogate scores through predict().
-        ranks = isinstance(surrogate, NativePosterior) and (
+        scores_natively = isinstance(surrogate, NativePosterior) and (
             type(self.acquisition) is ProbabilityOfImprovement
         )
-        contenders = 0
+        n_remaining = 0
 
         initial = self._rng.choice(
             n_candidates, size=self.n_initial, replace=False
@@ -424,8 +425,8 @@ class BayesianOptimizer:
                 index = int(probe_queue.pop(0))
             else:
                 index = (
-                    self._ranked_index(contenders)
-                    if ranks
+                    self._scored_index(n_remaining)
+                    if scores_natively
                     else self._next_index(unprobed, best_value)
                 )
                 if index < 0:
@@ -449,8 +450,8 @@ class BayesianOptimizer:
             # Stop once stalled, or once every candidate is probed (each
             # at most once).
             done = stall >= self.patience or len(history) == n_candidates
-            if ranks and not done and not probe_queue:
-                contenders = surrogate.observe_and_rank(
+            if scores_natively and not done and not probe_queue:
+                n_remaining = surrogate.observe_and_score(
                     index, value, best_value, self.acquisition.xi
                 )
             else:
@@ -484,16 +485,14 @@ class BayesianOptimizer:
         scores = self.acquisition(mean, std, best_value)
         return int(remaining[self._argmax(scores)])
 
-    def _ranked_index(self, contenders: int) -> int:
-        """PI's pick from the native step's ranking (see
-        :meth:`NativePosterior.observe_and_rank`)."""
-        surrogate = self._surrogate
-        if contenders == 1:
-            return int(surrogate.near[0])
-        if contenders == 0:
+    def _scored_index(self, n_remaining: int) -> int:
+        """PI's pick from the native step's z-scores (see
+        :meth:`NativePosterior.observe_and_score`)."""
+        if n_remaining == 0:
             return -1
-        scores = ndtr(surrogate.near_z[:contenders])
-        return int(surrogate.near[self._argmax(scores)])
+        surrogate = self._surrogate
+        scores = ndtr(surrogate.remaining_z[:n_remaining])
+        return int(surrogate.remaining[self._argmax(scores)])
 
     def _argmax(self, scores: np.ndarray) -> int:
         # Randomised argmax so ties do not always resolve to the lowest index.

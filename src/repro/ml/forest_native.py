@@ -36,8 +36,8 @@ A third, ``bo_step``, is one Bayesian-optimisation probe of
 candidate set: it conditions the candidate-set GP posterior on the new
 observation (the Schur complement, one GEMV row and the three moment
 updates), recomputes the posterior mean and standard deviation, and
-ranks the unprobed candidates by Probability of Improvement -- all in one
-call on buffers the caller allocated once (:data:`BO_STATE`).
+computes the unprobed candidates' Probability of Improvement z-scores --
+all in one call on buffers the caller allocated once (:data:`BO_STATE`).
 """
 
 from __future__ import annotations
@@ -324,8 +324,8 @@ typedef struct {
     double *mean;                 /* (n,) out: posterior mean */
     double *std;                  /* (n,) out: posterior std */
     const unsigned char *unprobed;/* (n,) candidates PI may pick */
-    int64_t *near;                /* (n,) out: PI's contenders, ascending */
-    double *near_z;               /* (n,) out: their z-scores */
+    int64_t *remaining;           /* (n,) out: unprobed candidates, ascending */
+    double *remaining_z;          /* (n,) out: their PI z-scores */
     int64_t n;
     int64_t size;                 /* observations so far */
     double nugget;                /* noise**2 + 1e-10 */
@@ -369,17 +369,10 @@ static double bo_pairwise_sum(const double *a, int64_t n)
  * stored rows, so the new state row is one GEMV.  Returns -2 and leaves
  * the state untouched when the Schur complement (stored in s->schur) is
  * not positive.  mode 0 stops there; mode 1 also writes the posterior
- * mean and std of every candidate; mode 2 also ranks the unprobed
- * candidates by PI's z-score (mean - best - xi) / max(std, 1e-12) and
- * returns how many it wrote to near / near_z: every candidate whose PI,
- * ndtr(z), could round to the best one's.  ndtr is monotone, so those
- * are the z-scores in [zmax - band, zmax] for a band over which ndtr
- * moves by about 1e-12 of its value -- thousands of ulps, far more than
- * its rounding or two implementations of it disagree by: 1e-12 times
- * the Mills ratio ndtr(z) / pdf(z), capped at 1.  Past z = 7 the
- * window reaches down to 7 (ndtr rounds to exactly 1 from z = 8.3 on,
- * and ndtr(7) < 1 - 1e-12); below z = -37, where ndtr(zmax) nears
- * subnormal range, every candidate contends. */
+ * mean and std of every candidate; mode 2 also writes the unprobed
+ * candidates (ascending) to remaining and their PI z-scores,
+ * (mean - best - xi) / max(std, 1e-12) in numpy's operation order, to
+ * remaining_z, and returns how many there are. */
 int64_t bo_step(BoState *s, int64_t mode)
 {
     const int64_t n = s->n, width = n + 2, index = s->index;
@@ -437,28 +430,12 @@ int64_t bo_step(BoState *s, int64_t mode)
     }
     if (mode == 1) return 0;
 
-    double *z = s->near_z;
-    double zmax = -INFINITY;
+    int64_t count = 0;
     for (int64_t i = 0; i < n; ++i) {
         if (!s->unprobed[i]) continue;
         const double sd = s->std[i] < 1e-12 ? 1e-12 : s->std[i];
-        z[i] = ((s->mean[i] - best) - xi) / sd;
-        if (z[i] > zmax) zmax = z[i];
-    }
-    double low = -INFINITY;
-    if (zmax > -37.0) {
-        const double mills = 0.5 * erfc(-zmax * 0.70710678118654752440) /
-            (exp(-0.5 * zmax * zmax) * 0.39894228040143267794);
-        double band = 1e-12 * mills;
-        if (!(band < 1.0)) band = 1.0;
-        low = zmax - band < 7.0 ? zmax - band : 7.0;
-    }
-    int64_t count = 0;
-    for (int64_t i = 0; i < n; ++i) {
-        if (s->unprobed[i] && z[i] >= low) {
-            s->near[count] = i;
-            z[count++] = z[i];
-        }
+        s->remaining[count] = i;
+        s->remaining_z[count++] = ((s->mean[i] - best) - xi) / sd;
     }
     return count;
 }
@@ -485,8 +462,8 @@ class BO_STATE(ctypes.Structure):
         ("mean", ctypes.c_void_p),
         ("std", ctypes.c_void_p),
         ("unprobed", ctypes.c_void_p),
-        ("near", ctypes.c_void_p),
-        ("near_z", ctypes.c_void_p),
+        ("remaining", ctypes.c_void_p),
+        ("remaining_z", ctypes.c_void_p),
         ("n", ctypes.c_int64),
         ("size", ctypes.c_int64),
         ("nugget", ctypes.c_double),

@@ -261,15 +261,13 @@ class GridPack:
             _pack_rows(full[None, :], self.n_words)[0]
         )
 
-        # The kernel's fixed arguments -- the tables and the walk's
-        # scratch stacks -- are validated and their data addresses taken
-        # once here, not on every call.
-        depth = max(pack.n_levels, 1) + 2
-        self._node_stack = np.empty(depth, dtype=np.int64)
-        self._set_stack = np.empty(depth * self.n_words, dtype=np.uint64)
+        # The fixed tables are validated and their data addresses taken
+        # once here, not on every call.  Everything a call writes is
+        # allocated per call, so concurrent calls on one pack are safe.
+        self._depth = max(pack.n_levels, 1) + 2
         pointer = forest_native._data_pointer
         word = np.dtype(np.uint64)
-        self._grid_args = (
+        self._table_args = (
             pointer(self._table, forest_native.GRID_NODE_DTYPE, 1),
             pointer(self._static_masks, word, 2),
             pointer(pack.roots, np.dtype(np.int64), 3),
@@ -279,13 +277,6 @@ class GridPack:
             pointer(self._full_set, word, 7),
         )
         self._prefix_pointer = pointer(self._prefix_masks, word, 12)
-        self._stacks = (
-            pointer(self._node_stack, np.dtype(np.int64), 14),
-            pointer(self._set_stack, word, 15),
-        )
-        self._go_left = np.empty((0, self.n_branch), dtype=np.uint8)
-        self._scaled_vals = np.empty((0, self._scaled_base.size))
-        self._request_pointers = (0, 0)
 
     @staticmethod
     def available() -> bool:
@@ -308,14 +299,11 @@ class GridPack:
         ``(n_trees, n_req * n_rows)`` float64 -- the same layout
         ``PackedForest.tree_matrix`` produces for the requests' grid
         feature matrices stacked request-major, bitwise identical.
-
-        The pack keeps the walk's scratch and the per-request input
-        buffers between calls, so calls must not overlap.
         """
         kernel = forest_native.load_kernel()
         if kernel is None:
             raise RuntimeError("the native grid kernel is unavailable")
-        constants = np.asarray(constants, dtype=np.float64)
+        constants = np.ascontiguousarray(constants, dtype=np.float64)
         alphas = np.asarray(alphas, dtype=np.float64)
         n_req = constants.shape[0]
         if alphas.shape != (n_req,):
@@ -323,38 +311,32 @@ class GridPack:
         if n_req == 0:
             return np.empty((self.n_trees, 0), dtype=np.float64)
 
-        if n_req > self._go_left.shape[0]:
-            self._go_left = np.empty((n_req, self.n_branch), dtype=np.uint8)
-            self._scaled_vals = np.empty((n_req, self._scaled_base.size))
-            self._request_pointers = (
-                self._go_left.ctypes.data,
-                self._scaled_vals.ctypes.data,
-            )
-        go_left = self._go_left[:n_req]
+        go_left = np.empty((n_req, self.n_branch), dtype=np.uint8)
         for feature, start, stop in self._branch_groups:
-            np.less_equal(
-                constants[:, feature, None],
-                self._branch_thresholds[None, start:stop],
-                out=go_left[:, start:stop],
+            go_left[:, start:stop] = (
+                constants[:, feature, None]
+                <= self._branch_thresholds[None, start:stop]
             )
         # base * alpha, the same single multiply build_matrix performs.
-        np.multiply(
-            self._scaled_base[None, :],
-            alphas[:, None],
-            out=self._scaled_vals[:n_req],
-        )
+        scaled_vals = np.ascontiguousarray(
+            self._scaled_base[None, :] * alphas[:, None]
+        ).reshape(n_req, self._scaled_base.size)
 
+        node_stack = np.empty(self._depth, dtype=np.int64)
+        set_stack = np.empty(self._depth * self.n_words, dtype=np.uint64)
         out = np.empty(self.n_trees * n_req * self.n_rows, dtype=np.float64)
-        go_left_pointer, scaled_pointer = self._request_pointers
+        # The per-call arrays are fresh and C-contiguous, and these locals
+        # keep them alive until the kernel returns.
         kernel.forest_grid_matrix.raw(
-            *self._grid_args,
-            go_left_pointer,
+            *self._table_args,
+            go_left.ctypes.data,
             self.n_branch,
-            scaled_pointer,
+            scaled_vals.ctypes.data,
             self._scaled_base.size,
             self._prefix_pointer,
             n_req,
-            *self._stacks,
+            node_stack.ctypes.data,
+            set_stack.ctypes.data,
             out.ctypes.data,
         )
         return out.reshape(self.n_trees, n_req * self.n_rows)

@@ -1,5 +1,8 @@
 """Grid-compiled forest descent: bitwise equivalence and integration."""
 
+import threading
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,6 +14,8 @@ from repro.core.features import FEATURE_NAMES, FeatureVector
 from repro.core.predictor import PredictionRequest, WorkloadPredictor
 from repro.ml.dataset import Dataset
 from repro.ml.grid_inference import GridPack, _pack_rows
+
+from test_determine_golden import trained_predictor
 
 AWS_PROFILE = get_provider("aws")
 AWS_PRICES = get_prices("aws")
@@ -333,3 +338,44 @@ class TestPredictorIntegration:
             ]
             monkeypatch.undo()
         assert results[False] == results[True]
+
+    def test_concurrent_determines_on_one_predictor(self):
+        # Threads share one predictor and so one cached grid engine.
+        # Every decision's Estimated Time list must read its own
+        # request's forest pass, as a serial run computes it.
+        predictor = trained_predictor(8, 8, seed=5)
+        requests = [
+            PredictionRequest(
+                query_id=f"q{i}",
+                input_size_gb=(8.0, 16.0, 32.0, 100.0)[i % 4],
+                start_time_epoch=1.7e9 + 900.0 * i,
+                historical_duration_s=60.0 + 55.0 * i,
+                num_waiting_apps=i,
+            )
+            for i in range(6)
+        ]
+        candidates = predictor.candidate_grid("hybrid")
+        row_of = {tuple(point): row for row, point in enumerate(candidates.tolist())}
+        expected = [
+            predictor._grid_tree_matrix([request], "hybrid", candidates)
+            for request in requests
+        ]
+        # Distinct requests, so a pass that read another's inputs shows.
+        assert len({trees.tobytes() for trees in expected}) == len(requests)
+        start = threading.Barrier(len(requests))
+
+        def size(index):
+            start.wait()
+            return [predictor.determine(requests[index]) for _ in range(25)]
+
+        with ThreadPoolExecutor(max_workers=len(requests)) as pool:
+            outcomes = list(pool.map(size, range(len(requests))))
+        for trees, decisions in zip(expected, outcomes):
+            for decision in decisions:
+                rows = [
+                    row_of[tuple(point)]
+                    for point in decision.grid.candidates.tolist()
+                ]
+                assert np.array_equal(
+                    decision.grid.seconds, trees.take(rows, axis=1).mean(axis=0)
+                )

@@ -2,8 +2,8 @@
 
 With the compiled kernel available, :class:`BayesianOptimizer` keeps its
 surrogate in :class:`~repro.ml.bayesian_optimizer.NativePosterior`, whose
-``bo_step`` conditions on a probe and ranks the candidates for PI in one
-call.  :class:`~repro.ml.bayesian_optimizer.CandidatePosterior` stays the
+``bo_step`` conditions on a probe and scores the candidates for PI in
+one call.  :class:`~repro.ml.bayesian_optimizer.CandidatePosterior` stays the
 numpy fallback and the reference:
 
 - after every probe the native mean matches it to ``1e-12`` of the
@@ -13,8 +13,9 @@ numpy fallback and the reference:
   candidate the variance is down near the noise nugget, and its square
   root turns a rounding-level difference of the GEMV's summation order
   into a ``1e-12``-level relative one;
-- the ranking hands the generator exactly the tie set numpy's PI argmax
-  would, saturated scores (PI of exactly 0 or 1) included;
+- the z-scores it hands to ``ndtr`` are bitwise the ones
+  :class:`~repro.ml.acquisition.ProbabilityOfImprovement` computes from
+  the native mean and std, for exactly the unprobed candidates;
 - ``determine`` makes the same decisions and leaves the predictor's
   generator in the same state on both engines.  The surrogates agree to
   rounding, not bitwise, so this rests on no PI score sitting in a
@@ -32,14 +33,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import ndtr
 
 from repro.cloud.pricing import get_prices
 from repro.cloud.providers import get_provider
 from repro.core import predictor as predictor_module
 from repro.core.predictor import PredictionRequest, WorkloadPredictor
 from repro.ml import forest_native
-from repro.ml.acquisition import ProbabilityOfImprovement, make_acquisition
+from repro.ml.acquisition import make_acquisition
 from repro.ml.bayesian_optimizer import (
     BayesianOptimizer,
     CandidatePosterior,
@@ -89,17 +89,13 @@ def _assert_posteriors_match(native, reference):
     assert np.abs(variance - expected_variance).max() <= TOLERANCE
 
 
-def _assert_ranking_is_numpy_pi(native, unprobed, best, xi, count):
-    """The contenders' PI ties are numpy PI's argmax set, bitwise."""
+def _assert_scores_are_numpy_pi(native, unprobed, best, xi, count):
+    """The native z-scores are numpy PI's, bitwise, for the unprobed."""
     remaining = np.nonzero(unprobed)[0]
-    scores = ProbabilityOfImprovement(xi)(
-        native.mean[remaining], native.std[remaining], best
-    )
-    expected = remaining[scores == scores.max()]
-    near = native.near[:count]
-    ranked = ndtr(native.near_z[:count])
-    assert np.array_equal(near[ranked == ranked.max()], expected)
-    assert np.all(np.diff(near) > 0) and np.all(unprobed[near])
+    std = np.maximum(native.std[remaining], 1e-12)
+    expected = (native.mean[remaining] - best - xi) / std
+    assert np.array_equal(native.remaining[:count], remaining)
+    assert np.array_equal(native.remaining_z[:count], expected)
 
 
 @given(
@@ -128,79 +124,17 @@ def test_posterior_matches_numpy_after_every_probe(
         if step % 2:
             native.observe(int(index), value)
         else:
-            count = native.observe_and_rank(int(index), value, best, 0.01)
-            if unprobed.any():
-                _assert_ranking_is_numpy_pi(native, unprobed, best, 0.01, count)
+            count = native.observe_and_score(int(index), value, best, 0.01)
+            _assert_scores_are_numpy_pi(native, unprobed, best, 0.01, count)
         _assert_posteriors_match(native, reference)
 
 
-def _incumbent_for(native, unprobed, z_best, xi):
-    """The incumbent at which the best unprobed z-score is ``z_best``
-    (bisection: the best z-score falls as the incumbent rises)."""
-    remaining = np.nonzero(unprobed)[0]
-    mean = native.mean[remaining]
-    std = np.maximum(native.std[remaining], 1e-12)
-    low = float((mean - xi - z_best * std).min())
-    high = float((mean - xi - z_best * std).max())
-    for _ in range(200):
-        middle = 0.5 * (low + high)
-        if ((mean - middle - xi) / std).max() > z_best:
-            low = middle
-        else:
-            high = middle
-    return high
-
-
-@pytest.mark.parametrize("mode", _MODES)
-@pytest.mark.parametrize("bound", _BOUNDS, ids=["9x9", "13x13"])
-def test_ranking_keeps_saturated_ties(mode, bound):
-    # Best z-scores from deep in PI's zero saturation (every score
-    # exactly 0) to deep in its one saturation (every score past 8.3
-    # exactly 1), through both edges and the unsaturated middle.
-    gram = _gram(mode, bound)
-    n = gram.shape[0]
-    rng = np.random.default_rng(bound)
-    probes = rng.permutation(n)[: max(2, n // 8)]
-    values = -300.0 + 40.0 * rng.standard_normal(probes.size)
-    native, _, unprobed = _pair(gram)
-    for index, value in zip(probes, values):
-        unprobed[index] = False
-        native.observe(int(index), float(value))
-    native.predict(np.arange(n))
-    tied = 0
-    for z_best in (-80.0, -38.5, -37.2, -37.0, -20.0, -1.0, 0.0, 0.5, 6.9,
-                   7.0, 7.5, 8.0, 8.3, 8.5, 12.0, 80.0):
-        best = _incumbent_for(native, unprobed, z_best, 0.01)
-        count = native.observe_and_rank(-1, 0.0, best, 0.01)
-        _assert_ranking_is_numpy_pi(native, unprobed, best, 0.01, count)
-        scores = ndtr(native.near_z[:count])
-        tied += np.count_nonzero(scores == scores.max()) > 1
-    assert tied >= 2
-
-
-def test_ranking_keeps_rounding_ties():
-    # Prior variances an ulp apart give z-scores an ulp or so apart,
-    # which ndtr may round to one value: such candidates tie for PI
-    # although their z-scores differ, and must all reach the draw.
-    n = 16
-    gram = np.diag(1.0 + np.arange(n) * np.finfo(float).eps)
-    rounding_ties = 0
-    for best in np.linspace(-3.0, 3.0, 61):
-        native, _, unprobed = _pair(gram)
-        count = native.observe_and_rank(-1, 0.0, float(best), 0.01)
-        _assert_ranking_is_numpy_pi(native, unprobed, float(best), 0.01, count)
-        scores = ndtr(native.near_z[:count])
-        tied = native.near_z[:count][scores == scores.max()]
-        rounding_ties += np.unique(tied).size > 1
-    assert rounding_ties > 0
-
-
-def test_ranking_with_every_candidate_probed_is_empty():
+def test_scoring_with_every_candidate_probed_is_empty():
     gram = _gram("vm-only", 8)
     native, _, unprobed = _pair(gram)
     for index in range(gram.shape[0]):
         unprobed[index] = False
-        count = native.observe_and_rank(index, -100.0 - index, -100.0, 0.01)
+        count = native.observe_and_score(index, -100.0 - index, -100.0, 0.01)
     assert count == 0
 
 
