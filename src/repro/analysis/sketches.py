@@ -21,10 +21,14 @@ support ``merge`` so per-segment replay reports can be combined.
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 
 __all__ = ["ExactSum", "ReservoirQuantiles"]
+
+#: Below this, no partial sum of ``ExactSum.add_many``'s batch overflows.
+_NO_OVERFLOW = sys.float_info.max / 8
 
 
 class ExactSum:
@@ -57,8 +61,31 @@ class ExactSum:
         partials[i:] = [x]
 
     def add_many(self, values) -> None:
-        for value in values:
-            self.add(value)
+        """Fold a batch, exactly: the same ``value`` as one ``add`` each.
+
+        ``math.fsum`` rounds the batch, the rounded sum joins the
+        partials and its negation joins the batch; once the batch sums to
+        exactly zero, the partials hold its whole sum.  Input that is not
+        finite, or large enough that some partial sum could overflow,
+        takes the per-value loop instead.
+        """
+        batch = np.asarray(values, dtype=np.float64).ravel()
+        if batch.size == 0:
+            return
+        rest = batch.tolist()
+        partials = self._partials
+        peak = max(
+            float(np.abs(batch).max()), max(map(abs, partials), default=0.0)
+        )
+        if not peak * (len(rest) + len(partials)) < _NO_OVERFLOW:
+            for value in rest:
+                self.add(value)
+            return
+        total = math.fsum(rest)
+        while total:
+            self.add(total)
+            rest.append(-total)
+            total = math.fsum(rest)
 
     def merge(self, other: "ExactSum") -> None:
         """Fold ``other`` into this sum (exactness preserved)."""

@@ -63,56 +63,6 @@ class _TreeBuffers:
             setattr(self, name, getattr(self, name)[: self.count].copy())
 
 
-def _best_split_for_feature(
-    values: np.ndarray,
-    targets: np.ndarray,
-    min_samples_leaf: int,
-) -> tuple[float, float]:
-    """Return ``(gain, threshold)`` of the best split on one feature column.
-
-    ``gain`` is the reduction in total sum of squared errors; ``-inf`` means
-    no admissible split exists (constant feature or leaf-size limits).
-    """
-    order = np.argsort(values, kind="mergesort")
-    sorted_values = values[order]
-    sorted_targets = targets[order]
-    n = sorted_values.shape[0]
-
-    # Prefix sums let every candidate split be scored in O(1).
-    prefix_sum = np.cumsum(sorted_targets)
-    prefix_sq = np.cumsum(sorted_targets * sorted_targets)
-    total_sum = prefix_sum[-1]
-    total_sq = prefix_sq[-1]
-
-    left_counts = np.arange(1, n, dtype=np.float64)
-    right_counts = n - left_counts
-
-    left_sum = prefix_sum[:-1]
-    right_sum = total_sum - left_sum
-    left_sq = prefix_sq[:-1]
-    right_sq = total_sq - left_sq
-
-    left_sse = left_sq - left_sum * left_sum / left_counts
-    right_sse = right_sq - right_sum * right_sum / right_counts
-    parent_sse = total_sq - total_sum * total_sum / n
-    gains = parent_sse - (left_sse + right_sse)
-
-    # A split between equal feature values is not realisable.
-    realisable = sorted_values[:-1] < sorted_values[1:]
-    if min_samples_leaf > 1:
-        realisable &= left_counts >= min_samples_leaf
-        realisable &= right_counts >= min_samples_leaf
-    gains = np.where(realisable, gains, -np.inf)
-
-    if gains.size == 0:
-        return -np.inf, 0.0
-    best = int(np.argmax(gains))
-    if not np.isfinite(gains[best]):
-        return -np.inf, 0.0
-    threshold = 0.5 * (sorted_values[best] + sorted_values[best + 1])
-    return float(gains[best]), float(threshold)
-
-
 class DecisionTreeRegressor:
     """A CART regression tree.
 
@@ -210,15 +160,21 @@ class DecisionTreeRegressor:
         buffers = self._buffers
         assert buffers is not None
         node = buffers.allocate()
+        n_node = indices.shape[0]
         node_targets = targets[indices]
-        buffers.value[node] = float(node_targets.mean())
-        buffers.n_samples[node] = indices.shape[0]
-        buffers.impurity[node] = float(node_targets.var())
+        # Bitwise ``np.mean`` / ``np.var``: the same pairwise sums and
+        # divisions, without their per-call argument handling.
+        mean = float(np.add.reduce(node_targets)) / n_node
+        deviation = node_targets - mean
+        np.square(deviation, out=deviation)
+        buffers.value[node] = mean
+        buffers.n_samples[node] = n_node
+        buffers.impurity[node] = float(np.add.reduce(deviation)) / n_node
 
-        if self._should_stop(indices.shape[0], depth, node_targets):
+        if self._should_stop(n_node, depth, node_targets):
             return node
 
-        split = self._find_split(features, targets, indices)
+        split = self._find_split(features, node_targets, indices)
         if split is None:
             return node
         feature_index, threshold = split
@@ -243,14 +199,21 @@ class DecisionTreeRegressor:
             return True
         if self.max_depth is not None and depth >= self.max_depth:
             return True
-        return bool(np.all(node_targets == node_targets[0]))
+        return bool((node_targets == node_targets[0]).all())
 
     def _find_split(
         self,
         features: np.ndarray,
-        targets: np.ndarray,
+        node_targets: np.ndarray,
         indices: np.ndarray,
     ) -> tuple[int, float] | None:
+        """Best ``(feature, threshold)``, scoring all candidates at once.
+
+        Each column of the node's ``(n, f)`` block is stably sorted and
+        prefix sums give every split's reduction in squared error.  A
+        column's best is its first maximal finite gain; candidates are
+        taken in order, a later one winning only by more than 1e-12.
+        """
         assert self._n_features is not None
         n_candidates = self._n_split_candidates()
         if n_candidates < self._n_features:
@@ -260,19 +223,55 @@ class DecisionTreeRegressor:
         else:
             candidates = np.arange(self._n_features)
 
-        node_targets = targets[indices]
+        n = indices.shape[0]
+        columns = np.arange(candidates.shape[0])
+        block = features.take(indices, axis=0).take(candidates, axis=1)
+        order = block.argsort(axis=0, kind="mergesort")
+        sorted_values = block[order, columns]
+        sorted_targets = node_targets.take(order)
+
+        prefix_sum = sorted_targets.cumsum(axis=0)
+        np.multiply(sorted_targets, sorted_targets, out=sorted_targets)
+        prefix_sq = sorted_targets.cumsum(axis=0)
+        total_sum = prefix_sum[-1]
+        total_sq = prefix_sq[-1]
+
+        left_counts = np.arange(1, n, dtype=np.float64)[:, None]
+        right_counts = n - left_counts
+
+        left_sum = prefix_sum[:-1]
+        right_sum = total_sum - left_sum
+        left_sq = prefix_sq[:-1]
+        right_sq = total_sq - left_sq
+
+        left_sse = left_sq - left_sum * left_sum / left_counts
+        right_sse = right_sq - right_sum * right_sum / right_counts
+        parent_sse = total_sq - total_sum * total_sum / n
+        gains = parent_sse - (left_sse + right_sse)
+
+        # A split between equal feature values is not realisable, nor one
+        # that leaves a side with fewer than ``min_samples_leaf`` rows.
+        unrealisable = ~(sorted_values[:-1] < sorted_values[1:])
+        leaf = self.min_samples_leaf
+        if leaf > 1:
+            unrealisable[: leaf - 1] = True
+            unrealisable[n - leaf:] = True
+        gains[unrealisable] = -np.inf
+
+        rows = gains.argmax(axis=0)
         best_gain = 0.0
-        best: tuple[int, float] | None = None
-        for feature_index in candidates:
-            gain, threshold = _best_split_for_feature(
-                features[indices, feature_index],
-                node_targets,
-                self.min_samples_leaf,
-            )
-            if gain > best_gain + 1e-12:
+        best_column = -1
+        for column, gain in enumerate(gains[rows, columns].tolist()):
+            if best_gain + 1e-12 < gain < np.inf:
                 best_gain = gain
-                best = (int(feature_index), threshold)
-        return best
+                best_column = column
+        if best_column < 0:
+            return None
+        row = rows[best_column]
+        threshold = 0.5 * (
+            sorted_values[row, best_column] + sorted_values[row + 1, best_column]
+        )
+        return int(candidates[best_column]), float(threshold)
 
     # ------------------------------------------------------------------
     # Prediction and introspection

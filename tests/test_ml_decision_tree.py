@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.ml import DecisionTreeRegressor
 from repro.ml.metrics import rmse
@@ -136,3 +138,159 @@ class TestIntrospection:
         tree = DecisionTreeRegressor().fit(x, y)
         # A binary tree with L leaves has 2L - 1 nodes.
         assert tree.node_count == 2 * tree.n_leaves - 1
+
+
+# ----------------------------------------------------------------------
+# The whole-node split search against the per-feature reference
+# ----------------------------------------------------------------------
+
+
+def _reference_split_for_feature(values, targets, min_samples_leaf):
+    """The per-feature CART search, one candidate column at a time."""
+    order = np.argsort(values, kind="mergesort")
+    sorted_values = values[order]
+    sorted_targets = targets[order]
+    n = sorted_values.shape[0]
+    prefix_sum = np.cumsum(sorted_targets)
+    prefix_sq = np.cumsum(sorted_targets * sorted_targets)
+    total_sum = prefix_sum[-1]
+    total_sq = prefix_sq[-1]
+    left_counts = np.arange(1, n, dtype=np.float64)
+    right_counts = n - left_counts
+    left_sum = prefix_sum[:-1]
+    right_sum = total_sum - left_sum
+    left_sq = prefix_sq[:-1]
+    right_sq = total_sq - left_sq
+    left_sse = left_sq - left_sum * left_sum / left_counts
+    right_sse = right_sq - right_sum * right_sum / right_counts
+    parent_sse = total_sq - total_sum * total_sum / n
+    gains = parent_sse - (left_sse + right_sse)
+    realisable = sorted_values[:-1] < sorted_values[1:]
+    if min_samples_leaf > 1:
+        realisable &= left_counts >= min_samples_leaf
+        realisable &= right_counts >= min_samples_leaf
+    gains = np.where(realisable, gains, -np.inf)
+    if gains.size == 0:
+        return -np.inf, 0.0
+    best = int(np.argmax(gains))
+    if not np.isfinite(gains[best]):
+        return -np.inf, 0.0
+    threshold = 0.5 * (sorted_values[best] + sorted_values[best + 1])
+    return float(gains[best]), float(threshold)
+
+
+class _ReferenceTree(DecisionTreeRegressor):
+    """The tree grown with ``np.mean``/``np.var`` node moments and the
+    per-feature search, keeping the same node order and draws."""
+
+    def _grow(self, features, targets, indices, depth):
+        buffers = self._buffers
+        node = buffers.allocate()
+        node_targets = targets[indices]
+        buffers.value[node] = float(node_targets.mean())
+        buffers.n_samples[node] = indices.shape[0]
+        buffers.impurity[node] = float(node_targets.var())
+        if self._should_stop(indices.shape[0], depth, node_targets):
+            return node
+        split = self._find_split(features, node_targets, indices)
+        if split is None:
+            return node
+        feature_index, threshold = split
+        mask = features[indices, feature_index] <= threshold
+        left_indices = indices[mask]
+        right_indices = indices[~mask]
+        if left_indices.shape[0] == 0 or right_indices.shape[0] == 0:
+            return node
+        buffers.feature[node] = feature_index
+        buffers.threshold[node] = threshold
+        buffers.left[node] = self._grow(features, targets, left_indices, depth + 1)
+        buffers.right[node] = self._grow(features, targets, right_indices, depth + 1)
+        return node
+
+    def _find_split(self, features, node_targets, indices):
+        n_candidates = self._n_split_candidates()
+        if n_candidates < self._n_features:
+            candidates = self._rng.choice(
+                self._n_features, size=n_candidates, replace=False
+            )
+        else:
+            candidates = np.arange(self._n_features)
+        best_gain = 0.0
+        best = None
+        for feature_index in candidates:
+            gain, threshold = _reference_split_for_feature(
+                features[indices, feature_index], node_targets,
+                self.min_samples_leaf,
+            )
+            if gain > best_gain + 1e-12:
+                best_gain = gain
+                best = (int(feature_index), threshold)
+        return best
+
+
+#: Few distinct values, so duplicated features, tied gains and equal
+#: targets are common rather than rare.
+_TIED_VALUES = st.sampled_from([-2.0, -0.5, 0.0, 0.0, 1.0, 1.0, 3.25, 1e6])
+_MAX_FEATURES = st.one_of(
+    st.none(),
+    st.sampled_from(["sqrt", "log2"]),
+    st.integers(1, 5),
+    st.floats(0.05, 1.0),
+)
+
+
+@st.composite
+def _fit_cases(draw):
+    n_rows = draw(st.integers(1, 40))
+    n_features = draw(st.integers(1, 5))
+    columns = []
+    for _ in range(n_features):
+        kind = draw(st.sampled_from(["tied", "free", "constant"]))
+        if kind == "constant":
+            columns.append([draw(_TIED_VALUES)] * n_rows)
+        elif kind == "tied":
+            columns.append(draw(st.lists(
+                _TIED_VALUES, min_size=n_rows, max_size=n_rows
+            )))
+        else:
+            columns.append(draw(st.lists(
+                st.floats(-1e3, 1e3), min_size=n_rows, max_size=n_rows
+            )))
+    features = np.array(columns, dtype=np.float64).T.reshape(n_rows, n_features)
+    if draw(st.booleans()):
+        targets = np.full(n_rows, draw(_TIED_VALUES))
+    else:
+        targets = np.array(draw(st.lists(
+            st.one_of(_TIED_VALUES, st.floats(-1e4, 1e4)),
+            min_size=n_rows, max_size=n_rows,
+        )))
+    max_features = draw(_MAX_FEATURES)
+    if isinstance(max_features, int):
+        max_features = min(max_features, n_features)
+    params = dict(
+        max_depth=draw(st.one_of(st.none(), st.integers(1, 6))),
+        min_samples_split=draw(st.integers(2, 6)),
+        min_samples_leaf=draw(st.integers(1, 4)),
+        max_features=max_features,
+    )
+    return features, targets, params, draw(st.integers(0, 2**32 - 1))
+
+
+class TestSplitSearchMatchesPerFeatureReference:
+    @given(_fit_cases())
+    def test_trees_and_draws_are_bitwise_equal(self, case):
+        features, targets, params, seed = case
+        tree = DecisionTreeRegressor(
+            rng=np.random.default_rng(seed), **params
+        ).fit(features, targets)
+        reference = _ReferenceTree(
+            rng=np.random.default_rng(seed), **params
+        ).fit(features, targets)
+        got, want = tree._require_fitted(), reference._require_fitted()
+        assert got.count == want.count
+        for name in ("feature", "threshold", "left", "right", "value",
+                     "n_samples", "impurity"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and a.shape == b.shape, name
+            assert a.tobytes() == b.tobytes(), name
+        assert tree._rng.bit_generator.state == reference._rng.bit_generator.state

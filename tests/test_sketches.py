@@ -10,6 +10,7 @@ in the reservoir and rank-error-bounded past it (hypothesis property).
 from __future__ import annotations
 
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -17,6 +18,28 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis import ExactSum, ReservoirQuantiles
+
+
+def _expansion(acc: ExactSum, terms: int = 4) -> list:
+    """The sum's leading ``terms`` rounded terms, each as bytes (NaN and
+    signed zeros compare exactly), or the exception ``value`` raises.
+
+    Peeling ``value`` off a copy exposes the exact sum below the first
+    rounding, which ``value`` alone would hide.
+    """
+    peeled = ExactSum()
+    peeled.merge(acc)
+    out = []
+    for _ in range(terms):
+        try:
+            value = peeled.value
+        except (OverflowError, ValueError) as error:
+            return out + [type(error).__name__]
+        out.append(b"nan" if math.isnan(value) else struct.pack("<d", value))
+        if not value or not math.isfinite(value):
+            break
+        peeled.add(-value)
+    return out
 
 
 class TestExactSum:
@@ -55,6 +78,34 @@ class TestExactSum:
         acc = ExactSum()
         acc.add_many(values)
         assert acc.value == math.fsum(values)
+
+    @given(
+        st.lists(st.floats(allow_nan=True, allow_infinity=True), max_size=8),
+        st.lists(st.floats(allow_nan=True, allow_infinity=True), max_size=40),
+        st.integers(0, 40),
+    )
+    def test_property_bulk_equals_scalar_adds(self, start, values, n_negated):
+        # Negated copies force cancellation; non-finite and overflowing
+        # input must take the same path as one ``add`` per value.
+        values = values + [-v for v in values[:n_negated]]
+        bulk, scalar = ExactSum(), ExactSum()
+        for value in start:
+            bulk.add(value)
+            scalar.add(value)
+        bulk.add_many(np.array(values, dtype=np.float64))
+        for value in values:
+            scalar.add(value)
+        assert _expansion(bulk) == _expansion(scalar)
+
+    def test_bulk_keeps_the_residual_below_the_rounded_batch(self):
+        # 1e16 + 1 rounds to 1e16; the lost 1 must still reach the sum.
+        bulk, scalar = ExactSum(), ExactSum()
+        bulk.add(1.0)
+        scalar.add(1.0)
+        bulk.add_many([1e16, 1.0])
+        scalar.add(1e16)
+        scalar.add(1.0)
+        assert bulk.value == scalar.value == 1e16 + 2.0
 
 
 class TestReservoirExactRegime:
