@@ -463,38 +463,6 @@ def bench_submit_many(n_arrivals: int, quick: bool) -> dict:
     }
 
 
-def bench_decision_cache(
-    predictor: WorkloadPredictor, n_queries: int, repeats: int
-) -> dict:
-    """Repeated identical batches: cold grid pass vs memoized decisions."""
-    requests = [
-        PredictionRequest(
-            query_id=f"q{i}",
-            input_size_gb=80.0 + 5.0 * i,
-            start_time_epoch=2000.0 + i,
-            historical_duration_s=110.0 + i,
-            num_waiting_apps=i,
-        )
-        for i in range(n_queries)
-    ]
-    predictor._decision_cache.clear()
-    predictor._decision_probation.clear()
-    started = time.perf_counter()
-    cold = predictor.determine_batch(requests)
-    cold_s = time.perf_counter() - started
-    warm_s = best_of(lambda: predictor.determine_batch(requests), repeats)
-    warm = predictor.determine_batch(requests)
-    assert [decision.config for decision in warm] == [
-        decision.config for decision in cold
-    ], "cached decisions diverged from the cold pass"
-    return {
-        "n_requests": n_queries,
-        "cold_ms": cold_s * 1e3,
-        "cached_ms": warm_s * 1e3,
-        "speedup": cold_s / warm_s,
-    }
-
-
 def _object_path_decisions(
     predictor: WorkloadPredictor,
     requests: list[PredictionRequest],
@@ -542,8 +510,8 @@ def bench_decision_pipeline(
 ) -> dict:
     """Fresh-request ``determine_batch``: array-native vs object pipeline.
 
-    Cold decisions only -- the decision cache is cleared before every
-    measurement, so this is the path a never-seen query pays at arrival.
+    Every call is a full grid pass -- the path a never-seen query pays
+    at arrival.
 
     The trajectory against the committed baseline is a ratio of
     *same-machine* ratios: each run's cold time is first normalised by
@@ -562,20 +530,17 @@ def bench_decision_pipeline(
         for i in range(n_queries)
     ]
 
-    def cold_batch(knob: float = 0.0):
-        predictor._decision_cache.clear()
-        predictor._decision_probation.clear()
-        return predictor.determine_batch(requests, knob=knob)
-
     for knob in (0.0, 0.3):
-        array_configs = [d.config for d in cold_batch(knob)]
+        array_configs = [
+            d.config for d in predictor.determine_batch(requests, knob=knob)
+        ]
         object_configs = _object_path_decisions(predictor, requests, knob)
         assert array_configs == object_configs, (
             f"decision_pipeline: array-native and object decisions "
             f"diverged at knob={knob}"
         )
 
-    array_s = best_of(lambda: cold_batch(), repeats)
+    array_s = best_of(lambda: predictor.determine_batch(requests), repeats)
     object_s = best_of(
         lambda: _object_path_decisions(predictor, requests), repeats
     )
@@ -587,10 +552,7 @@ def bench_decision_pipeline(
         "identical_decisions": True,
     }
     previous_results = (previous or {}).get("results", {})
-    previous_cold = previous_results.get("decision_cache", {}).get("cold_ms")
-    previous_cold = previous_results.get("decision_pipeline", {}).get(
-        "cold_ms", previous_cold
-    )
+    previous_cold = previous_results.get("decision_pipeline", {}).get("cold_ms")
     previous_forest = previous_results.get("batched_predict", {}).get(
         "packed_ms"
     )
@@ -827,7 +789,6 @@ def main(argv: list[str] | None = None) -> int:
         forest_reference_ms=results["batched_predict"]["packed_ms"],
         strict=not args.quick and engine == "native-c",
     )
-    results["decision_cache"] = bench_decision_cache(predictor, n_queries, repeats)
     results["solo_determine"] = bench_solo_determine(predictor, n_queries, repeats)
     results["submit_many"] = bench_submit_many(n_queries, args.quick)
     results["batched_serving"] = bench_batched_serving(args.quick)

@@ -11,7 +11,9 @@ fell back to a slow path.
 
 Only slots present in BOTH files are compared (a missing engine or mode
 is reported and skipped), so the gate never blocks on an incomparable
-baseline.
+baseline.  Within a compared slot, every committed speedup must have a
+fresh counterpart: a ratio the bench stopped producing fails the gate,
+so a band leaves CI only when the committed file drops it too.
 
 Usage::
 
@@ -111,7 +113,15 @@ def main(argv: list[str] | None = None) -> int:
             committed_speedups = dict(
                 _walk_speedups(committed_slot.get("results", {}))
             )
-            for path, value in _walk_speedups(slot.get("results", {})):
+            fresh_speedups = dict(_walk_speedups(slot.get("results", {})))
+            for path in sorted(committed_speedups.keys() - fresh_speedups.keys()):
+                checked += 1
+                violations += 1
+                print(
+                    f"[MISSING] {engine}/{mode} {path}: committed "
+                    f"{committed_speedups[path]:.2f}x, absent from the fresh run"
+                )
+            for path, value in fresh_speedups.items():
                 reference = committed_speedups.get(path)
                 if reference is None:
                     continue
@@ -131,7 +141,7 @@ def main(argv: list[str] | None = None) -> int:
     if violations:
         print(
             f"{violations}/{checked} speedups regressed below "
-            f"{args.tolerance}x of the committed values"
+            f"{args.tolerance}x of the committed values or went missing"
         )
         return 1
     print(f"all {checked} speedups within the tolerance band")

@@ -54,9 +54,6 @@ __all__ = [
 
 _MODES = ("hybrid", "vm-only", "sl-only")
 
-#: Upper bound on memoized grid decisions kept per predictor (FIFO eviction).
-_DECISION_CACHE_LIMIT = 1024
-
 
 @dataclasses.dataclass(frozen=True)
 class PredictionRequest:
@@ -228,10 +225,7 @@ class WorkloadPredictor:
         # Hot-path caches: the candidate grid per mode with its BO
         # surrogate Gram and (nVM, nSL) -> row map, the Eq. 4 rate
         # constants (the price book is fixed at construction -- `prices`
-        # is a read-only property so the hoist cannot silently go stale),
-        # and the per-model-version decision memo used by determine_batch
-        # (two-touch admission: a key is memoized on its second miss, so
-        # never-repeated requests cannot pollute the cache).
+        # is a read-only property so the hoist cannot silently go stale).
         self._grid_cache: dict[tuple[str, int, int], np.ndarray] = {}
         self._gram_cache: dict[
             tuple[str, int, int], tuple[np.ndarray, np.ndarray]
@@ -243,17 +237,6 @@ class WorkloadPredictor:
         )
         self._sl_rate = prices.sl_per_second
         self._redis_rate = prices.redis_per_second
-        # Cached decisions store the knob-independent array-form grid and
-        # best index plus a small per-knob map of chosen indices -- a
-        # fraction of the footprint of the materialised entry lists they
-        # replaced.  Keying the heavy part (one forest pass worth of
-        # ``(seconds, costs)``) without the knob means knob sweeps over a
-        # repeated query class reuse one grid pass and only re-run the
-        # cheap Eq. 4 selection.
-        self._decision_cache: dict[
-            tuple, tuple[DecisionGrid, int, dict[float, int]]
-        ] = {}
-        self._decision_probation: dict[tuple, None] = {}
         # Grid-compiled inference engines (one per mode/bounds, rebuilt
         # when the model version moves); None is memoized too so a grid
         # the kernel cannot take is not re-attempted every batch.
@@ -615,18 +598,6 @@ class WorkloadPredictor:
         resulting Estimated Time lists cover the entire grid and the Eq. 4
         knob selection applies unchanged.
 
-        Decisions are memoized per model version: requests with identical
-        ``(query class, features, mode)`` reuse the cached grid decision
-        instead of re-running the forest, both within one batch and
-        across successive calls.  The knob is *not* part of the heavy
-        key -- the ``(seconds, costs)`` grid does not depend on it -- so
-        a knob sweep over the same request reuses one forest pass and
-        only re-runs the cheap Eq. 4 index selection (memoized per knob
-        alongside the grid).  Admission is two-touch -- a key is
-        memoized from its second miss onward -- so never-repeated
-        requests leave only a lightweight probation marker instead of
-        filling the cache with dead Estimated Time data.
-
         The whole pipeline is array-native: estimates come from the
         grid-compiled engine (or one stacked forest pass), costs from one
         broadcast :meth:`estimate_costs` call, and Eq. 4 from the
@@ -635,9 +606,8 @@ class WorkloadPredictor:
         ``decision.et_list``.
 
         ``inference_seconds`` on every returned decision is the batch's
-        decision time *amortised equally* across its requests (cache hits
-        included), so summing it over the batch recovers the true elapsed
-        wall time of this call.
+        decision time *amortised equally* across its requests, so summing
+        it over the batch recovers the true elapsed wall time of this call.
         """
         if not self.is_trained:
             raise RuntimeError("the prediction model has not been trained")
@@ -648,91 +618,36 @@ class WorkloadPredictor:
         candidates = self.candidate_grid(mode, max_vm=eff_vm, max_sl=eff_sl)
         grid_size = candidates.shape[0]
 
-        # Identical (query class, features, mode) requests under the
-        # current model resolve to identical grids, so each unique key is
-        # sized once -- within this batch and across calls (memoized per
-        # model_version with FIFO eviction).  The chosen index for the
-        # requested knob is resolved per cached grid (and memoized on it).
-        knob_key = float(knob)
-        keys = [
-            self._decision_key(request, mode, eff_vm, eff_sl)
-            for request in requests
-        ]
-        # Resolve into a batch-local map first: FIFO eviction below must
-        # never drop an entry this batch still needs.
-        resolved: dict[tuple, tuple[DecisionGrid, int, int]] = {}
-        fresh_seen: set[tuple] = set()
-        fresh_keys: list[tuple] = []
-        fresh_requests: list[PredictionRequest] = []
-        for key, request in zip(keys, requests):
-            if key in resolved or key in fresh_seen:
-                continue
-            cached = self._decision_cache.get(key)
-            if cached is not None:
-                decision_grid, best_index, selections = cached
-                chosen_index = selections.get(knob_key)
-                if chosen_index is None:
-                    chosen_index = decision_grid.select_index_with_knob(
-                        float(decision_grid.seconds[best_index]),
-                        float(decision_grid.costs[best_index]),
-                        knob,
-                    )
-                    if chosen_index is None:
-                        chosen_index = best_index
-                    selections[knob_key] = chosen_index
-                resolved[key] = (decision_grid, best_index, chosen_index)
-            else:
-                fresh_seen.add(key)
-                fresh_keys.append(key)
-                fresh_requests.append(request)
-
-        if fresh_requests:
-            estimates = self._grid_tree_matrix(
-                fresh_requests, mode, candidates, eff_vm, eff_sl
-            ).mean(axis=0)
-            cost_matrix = self.estimate_costs(
-                estimates.reshape(len(fresh_requests), grid_size), candidates
+        estimates = self._grid_tree_matrix(
+            requests, mode, candidates, eff_vm, eff_sl
+        ).mean(axis=0)
+        cost_matrix = self.estimate_costs(
+            estimates.reshape(len(requests), grid_size), candidates
+        )
+        selected = []
+        for index in range(len(requests)):
+            # Copies, not views: a decision kept by a caller must not pin
+            # the whole batch's estimate matrix in memory.
+            decision_grid = DecisionGrid(
+                candidates,
+                estimates[index * grid_size : (index + 1) * grid_size].copy(),
+                cost_matrix[index].copy(),
             )
-            for index, key in enumerate(fresh_keys):
-                # Copies, not views: a cached grid must not pin the whole
-                # batch's estimate matrix in memory.
-                decision_grid = DecisionGrid(
-                    candidates,
-                    estimates[index * grid_size : (index + 1) * grid_size].copy(),
-                    cost_matrix[index].copy(),
-                )
-                best_index = decision_grid.best_index()
-                chosen_index = decision_grid.select_index_with_knob(
-                    float(decision_grid.seconds[best_index]),
-                    float(decision_grid.costs[best_index]),
-                    knob,
-                )
-                if chosen_index is None:
-                    chosen_index = best_index
-                resolved[key] = (decision_grid, best_index, chosen_index)
-                # Two-touch admission: memoize the decision only once the
-                # key has repeated, so one-shot requests leave a bare key
-                # in probation instead of a full grid.
-                if key in self._decision_probation:
-                    del self._decision_probation[key]
-                    while len(self._decision_cache) >= _DECISION_CACHE_LIMIT:
-                        self._decision_cache.pop(next(iter(self._decision_cache)))
-                    self._decision_cache[key] = (
-                        decision_grid,
-                        best_index,
-                        {knob_key: chosen_index},
-                    )
-                else:
-                    while len(self._decision_probation) >= 4 * _DECISION_CACHE_LIMIT:
-                        self._decision_probation.pop(
-                            next(iter(self._decision_probation))
-                        )
-                    self._decision_probation[key] = None
+            best_index = decision_grid.best_index()
+            chosen_index = decision_grid.select_index_with_knob(
+                float(decision_grid.seconds[best_index]),
+                float(decision_grid.costs[best_index]),
+                knob,
+            )
+            if chosen_index is None:
+                chosen_index = best_index
+            selected.append((decision_grid, best_index, chosen_index))
         elapsed = time.perf_counter() - started
 
         decisions = []
-        for key, request in zip(keys, requests):
-            decision_grid, best_index, chosen_index = resolved[key]
+        for request, (decision_grid, best_index, chosen_index) in zip(
+            requests, selected
+        ):
             best_entry = decision_grid.entry(best_index)
             chosen = decision_grid.entry(chosen_index)
             decisions.append(
@@ -745,8 +660,8 @@ class WorkloadPredictor:
                     knob=knob,
                     best_entry=best_entry,
                     chosen_entry=chosen,
-                    # Decisions share the read-only grid; each one
-                    # materialises (and caches) its own et_list lazily.
+                    # Each decision materialises (and caches) its own
+                    # et_list lazily from its read-only grid.
                     grid=decision_grid,
                     n_evaluations=grid_size,
                     converged=True,
@@ -825,28 +740,3 @@ class WorkloadPredictor:
             engine = None
         self._grid_engine_cache[key] = (engine, self.model_version)
         return engine
-
-    def _decision_key(
-        self, request: PredictionRequest, mode: str, max_vm: int, max_sl: int
-    ) -> tuple:
-        """Everything a batched grid's ``(seconds, costs)`` depends on.
-
-        Deliberately knob-free: the knob only affects the Eq. 4 index
-        selection, which is memoized per knob next to the cached grid.
-        The *effective* search bounds are part of the key (quota-capped
-        batches must never reuse an unconstrained grid or vice versa);
-        ``relay`` is a public mutable attribute, so it is part of the key
-        even though it rarely changes.
-        """
-        return (
-            self.model_version,
-            mode,
-            max_vm,
-            max_sl,
-            self.relay,
-            request.query_id,
-            request.input_size_gb,
-            request.start_time_epoch,
-            request.historical_duration_s,
-            request.num_waiting_apps,
-        )

@@ -74,7 +74,7 @@ class DecisionGrid:
     array elements, so the round trip is exact).
 
     The arrays are marked read-only: one grid may back many
-    ``ConfigDecision`` objects and live in the decision cache.
+    ``ConfigDecision`` objects and live in serving's reuse cache.
     """
 
     __slots__ = ("candidates", "seconds", "costs")
@@ -164,29 +164,6 @@ class DecisionGrid:
             return None
         latency_budget = best_seconds * (1.0 + epsilon)
         admissible = (self.seconds <= latency_budget) & (self.costs <= best_cost)
-        if not admissible.any():
-            return None
-        min_cost = self.costs[admissible].min()
-        cheapest = admissible & (self.costs == min_cost)
-        max_seconds = self.seconds[cheapest].max()
-        return int(np.argmax(cheapest & (self.seconds == max_seconds)))
-
-    def select_index_within_budget(self, budget_s: float) -> int | None:
-        """Cheapest entry meeting an absolute latency budget (SLO sizing).
-
-        The SLO-tier variant of Eq. 4: instead of a *relative* tolerance
-        around ``T_best``, the constraint is an absolute deadline budget
-        (e.g. a tenant's ``slo_latency_s``).  Returns the index of the
-        minimum-cost entry whose estimated time fits the budget -- ties
-        break toward the larger estimated time, matching
-        :meth:`select_index_with_knob` -- or ``None`` when no entry fits
-        (the caller should fall back to the fastest configuration).
-        """
-        if budget_s <= 0.0:
-            raise ValueError("budget_s must be positive")
-        if len(self) == 0:
-            return None
-        admissible = self.seconds <= budget_s
         if not admissible.any():
             return None
         min_cost = self.costs[admissible].min()

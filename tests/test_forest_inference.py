@@ -1,10 +1,13 @@
 """Packed-forest engine, incremental GP and predictor hot-path caches."""
 
 import ctypes
+import functools
 import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.cloud.pricing import get_prices
 from repro.cloud.providers import get_provider
@@ -305,81 +308,6 @@ class TestPredictorCaches:
         with pytest.raises(ValueError):
             predictor.estimate_costs(np.ones(3), predictor.candidate_grid())
 
-    def test_determine_batch_memoizes_identical_requests(self):
-        predictor = _predictor()
-        request = _request()
-        # Two-touch admission: the first miss only leaves a probation
-        # marker; the second miss promotes the full decision.
-        (first,) = predictor.determine_batch([request])
-        assert len(predictor._decision_cache) == 0
-        assert len(predictor._decision_probation) == 1
-        (second,) = predictor.determine_batch([request])
-        assert len(predictor._decision_cache) == 1
-        assert len(predictor._decision_probation) == 0
-        # Third call: served from cache, identical decision, fresh list.
-        (third,) = predictor.determine_batch([request])
-        assert third.config == first.config == second.config
-        assert third.et_list == first.et_list
-        assert third.et_list is not second.et_list
-
-    def test_duplicates_within_batch_share_one_grid_pass(self):
-        predictor = _predictor()
-        request = _request()
-        decisions = predictor.determine_batch([request, request, request])
-        # One grid pass, one probation marker -- no heavy cache entry yet.
-        assert len(predictor._decision_probation) == 1
-        assert len(predictor._decision_cache) == 0
-        assert len({decision.config for decision in decisions}) == 1
-
-    def test_model_version_invalidates_decisions(self):
-        predictor = _predictor()
-        request = _request()
-        predictor.determine_batch([request])
-        predictor.determine_batch([request])  # promote past probation
-        version_before = predictor.model_version
-        rng = np.random.default_rng(8)
-        from repro.core.features import FEATURE_NAMES, FeatureVector
-        from repro.ml.dataset import Dataset
-
-        n_vm = rng.integers(1, 7, 40)
-        n_sl = rng.integers(0, 7, 40)
-        features = FeatureVector.build_matrix(
-            n_vm=n_vm.astype(float),
-            n_sl=n_sl.astype(float),
-            input_size_gb=50.0,
-            start_time_epoch=300.0,
-            historical_duration_s=90.0,
-        )
-        targets = 300.0 / (n_vm + n_sl)
-        predictor.fit(
-            Dataset(features, targets, feature_names=FEATURE_NAMES),
-            augment=False,
-        )
-        assert predictor.model_version == version_before + 1
-        predictor.determine_batch([request])
-        predictor.determine_batch([request])
-        # A new entry was added under the new model version.
-        assert len(predictor._decision_cache) == 2
-
-    def test_eviction_never_drops_entries_the_batch_needs(self, monkeypatch):
-        import repro.core.predictor as predictor_module
-
-        monkeypatch.setattr(predictor_module, "_DECISION_CACHE_LIMIT", 4)
-        predictor = _predictor()
-        oldest = _request(0)
-        predictor.determine_batch([oldest])
-        predictor.determine_batch([oldest])  # promote past probation
-        # Fill the cache so the next promotions evict `oldest`'s entry,
-        # then hand a batch that still references it.
-        fillers = [_request(i) for i in (1, 2, 3)]
-        predictor.determine_batch(fillers)
-        predictor.determine_batch(fillers)
-        fresh = [_request(i) for i in (4, 5, 6, 7)]
-        predictor.determine_batch(fresh)
-        decisions = predictor.determine_batch([oldest] + fresh)
-        assert len(decisions) == 5
-        assert len(predictor._decision_cache) <= 4
-
     def test_grid_bounds_and_relay_invalidate_decisions(self):
         predictor = _predictor()
         request = _request()
@@ -417,3 +345,96 @@ class TestPredictorCaches:
             float(estimates.min())
         )
         assert decision.n_evaluations == grid.shape[0]
+
+
+@functools.cache
+def _feature_sensitive_predictor():
+    """A predictor whose forest splits on every request feature.
+
+    ``_predictor`` trains on one request shape, so its trees never split
+    on the request columns and every request gets the same grid.  Here
+    each training block varies them, so requests differ in their grids.
+    Fitting is deterministic and ``determine_batch`` leaves the model
+    untouched, so one predictor serves every generated example.
+    """
+    from repro.core.features import FEATURE_NAMES, FeatureVector
+    from repro.ml.dataset import Dataset
+
+    predictor = WorkloadPredictor(
+        AWS_PROFILE, AWS_PRICES, max_vm=6, max_sl=6, n_estimators=8, rng=5
+    )
+    rng = np.random.default_rng(5)
+    blocks, targets = [], []
+    for _ in range(24):
+        size_gb = float(rng.choice([5.0, 50.0, 400.0]))
+        epoch = float(rng.choice([100.0, 200.0, 900.0]))
+        history_s = float(rng.choice([30.0, 90.0, 600.0]))
+        waiting = int(rng.integers(0, 5))
+        n_vm = rng.integers(0, 7, 20)
+        n_sl = rng.integers(1, 7, 20)
+        blocks.append(
+            FeatureVector.build_matrix(
+                n_vm=n_vm.astype(float),
+                n_sl=n_sl.astype(float),
+                input_size_gb=size_gb,
+                start_time_epoch=epoch,
+                historical_duration_s=history_s,
+                num_waiting_apps=waiting,
+            )
+        )
+        work = size_gb + history_s + 0.1 * epoch + 20.0 * waiting
+        targets.append(work / (n_vm + n_sl) + rng.normal(0.0, 1.0, 20))
+    predictor.fit(
+        Dataset(
+            np.vstack(blocks),
+            np.concatenate(targets),
+            feature_names=FEATURE_NAMES,
+        ),
+        augment=False,
+    )
+    return predictor
+
+
+#: Distinct request shapes the batch property draws from (with repeats).
+_REQUEST_POOL = st.builds(
+    PredictionRequest,
+    query_id=st.sampled_from(["q0", "q1", "q2"]),
+    input_size_gb=st.sampled_from([5.0, 50.0, 400.0]),
+    start_time_epoch=st.sampled_from([100.0, 200.0, 900.0]),
+    historical_duration_s=st.sampled_from([30.0, 90.0, 600.0]),
+    num_waiting_apps=st.integers(min_value=0, max_value=4),
+)
+
+
+class TestBatchIndependence:
+    @given(
+        data=st.data(),
+        mode=st.sampled_from(["hybrid", "vm-only", "sl-only"]),
+        knob=st.sampled_from([0.0, 0.3, 0.8]),
+    )
+    def test_batch_equals_one_request_at_a_time(self, data, mode, knob):
+        # A request's decision depends on that request alone: sizing it
+        # inside any batch (repeats included) gives the same config,
+        # prediction and bitwise-equal grid as sizing it by itself.
+        predictor = _feature_sensitive_predictor()
+        pool = data.draw(st.lists(_REQUEST_POOL, min_size=1, max_size=4))
+        picks = data.draw(
+            st.lists(
+                st.integers(min_value=0, max_value=len(pool) - 1),
+                min_size=1,
+                max_size=8,
+            )
+        )
+        requests = [pool[pick] for pick in picks]
+        batched = predictor.determine_batch(requests, knob=knob, mode=mode)
+        for request, decision in zip(requests, batched):
+            (alone,) = predictor.determine_batch([request], knob=knob, mode=mode)
+            assert decision.query_id == alone.query_id
+            assert decision.config == alone.config
+            assert decision.predicted_seconds == alone.predicted_seconds
+            assert decision.estimated_cost == alone.estimated_cost
+            assert decision.best_entry == alone.best_entry
+            assert decision.chosen_entry == alone.chosen_entry
+            assert np.array_equal(decision.grid.candidates, alone.grid.candidates)
+            assert decision.grid.seconds.tobytes() == alone.grid.seconds.tobytes()
+            assert decision.grid.costs.tobytes() == alone.grid.costs.tobytes()

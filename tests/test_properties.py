@@ -31,6 +31,7 @@ from repro.ml import (
 )
 from repro.ml.metrics import accuracy_within
 from repro.sqlmeta import extract_metadata
+from repro.sqlmeta.tokenizer import KEYWORDS
 from repro.workloads import make_random_query, make_uniform_query
 
 AWS = get_provider("aws").with_noise_sigma(0.0)
@@ -442,7 +443,10 @@ def test_determine_matches_per_probe_reference(
 # subquery counts equal SELECT occurrences minus one.
 # ---------------------------------------------------------------------------
 
-_ident = st.from_regex(r"[a-z][a-z0-9_]{0,8}", fullmatch=True)
+# Reserved words ("in", "on", ...) are not bare SQL identifiers.
+_ident = st.from_regex(r"[a-z][a-z0-9_]{0,8}", fullmatch=True).filter(
+    lambda name: name.upper() not in KEYWORDS
+)
 
 
 @given(
