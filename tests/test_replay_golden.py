@@ -20,6 +20,8 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import json
+import pathlib
 
 import pytest
 
@@ -39,6 +41,14 @@ from conftest import build_small_system
 
 QUERIES = ("uniform-2x1s", "uniform-4x1s")
 PERIOD_S = 600.0
+
+#: :func:`report_digest` goldens of the serving scenarios in
+#: ``test_scale_serving.py`` and ``test_serving_faults.py``, pinned on
+#: the per-arrival event drain (plus instance-counter digests of the
+#: plan-runner fault test), keyed by file section and scenario name.
+DRAIN_GOLDENS: dict[str, dict] = json.loads(
+    (pathlib.Path(__file__).parent / "drain_goldens.json").read_text()
+)
 
 #: Per-field SHA-256 digests of :func:`report_digest`, per replay path.
 GOLDEN_REPORT_DIGESTS: dict[tuple[str, str], dict[str, str]] = {

@@ -49,8 +49,10 @@ from repro.workloads.trace import (
 )
 
 from conftest import build_small_system
+from test_replay_golden import DRAIN_GOLDENS, report_digest
 
 QUERIES = ("uniform-2x1s", "uniform-4x1s")
+GOLDENS = DRAIN_GOLDENS["scale_serving"]
 
 
 def build_uniform_system(seed: int = 47, **overrides):
@@ -135,6 +137,7 @@ class TestEngineEquivalence:
         trace = make_trace()
         event = replay("event", trace)
         columnar = replay("columnar", trace, decision_reuse=False)
+        assert report_digest(event) == GOLDENS["plain"]
         assert report_signature(event) == report_signature(columnar)
         assert len(event.served) == len(columnar.served) == len(trace)
         for a, b in zip(event.served, columnar.served):
@@ -155,6 +158,7 @@ class TestEngineEquivalence:
             "columnar", trace, decision_reuse=False, batch_window_s=5.0
         )
         assert event.batched_decision_rate > 0.0
+        assert report_digest(event) == GOLDENS["window"]
         assert report_signature(event) == report_signature(columnar)
 
     def test_adaptive_window_groups_match(self):
@@ -185,6 +189,7 @@ class TestEngineEquivalence:
             batch_window_s=_FixedWindow(5.0),
         )
         assert event.batched_decision_rate > 0.0
+        assert report_digest(event) == GOLDENS["tuner"]
         assert report_signature(event) == report_signature(columnar)
         for a, b in zip(event.served, columnar.served):
             assert served_signature(a) == served_signature(b)
@@ -211,6 +216,7 @@ class TestEngineEquivalence:
             system_overrides=overrides,
         )
         assert event.n_retrains > 0
+        assert report_digest(event) == GOLDENS["retrain"]
         assert report_signature(event) == report_signature(columnar)
         reused = replay(
             "columnar", trace, decision_reuse=True, system_overrides=overrides
@@ -240,6 +246,7 @@ class TestEngineEquivalence:
         )
         assert event.epochs_planned > 0
         assert event.pool_stats.prewarms > 0
+        assert report_digest(event) == GOLDENS["planner"]
         assert report_signature(event) == report_signature(vector)
         assert event.pool_stats == vector.pool_stats
         assert event.prewarm_cost_dollars == vector.prewarm_cost_dollars

@@ -17,6 +17,7 @@ Coverage in three layers:
   admission quotas hold even while retries re-enter the gate.
 """
 
+import hashlib
 import math
 import warnings
 from functools import partial
@@ -56,6 +57,7 @@ from conftest import (
     build_bursty_trace,
     build_small_system,
 )
+from test_replay_golden import DRAIN_GOLDENS, report_digest
 
 REPLAY_SETTINGS = settings(
     max_examples=4,
@@ -574,6 +576,31 @@ def _fault_scenarios(draw):
     )
 
 
+#: Fixed draws of :func:`_fault_scenarios` whose replays are pinned by
+#: digest: retries that partly succeed across two tenants, a coalesced
+#: trace that sheds at the admission gate, and a retry budget that every
+#: arrival exhausts.
+_NO_FAULTS = dict(
+    seed=0, sl_rate=0.0, preempt=0.0, boot_rate=0.0, straggler=0.0,
+    max_retries=0, n=4, spacing=5.0, shed_cap=None, window=0.0,
+    second_tenant=False,
+)
+PINNED_FAULT_SCENARIOS = {
+    "retries": dict(
+        _NO_FAULTS, seed=1, sl_rate=0.15, preempt=20.0, straggler=0.4,
+        max_retries=3, spacing=45.0, second_tenant=True,
+    ),
+    "shed": dict(
+        _NO_FAULTS, seed=1, sl_rate=0.15, straggler=0.4, max_retries=1,
+        shed_cap=1, window=8.0,
+    ),
+    "exhausted": dict(
+        _NO_FAULTS, seed=2, preempt=20.0, boot_rate=0.2, max_retries=2,
+        shed_cap=1, second_tenant=True,
+    ),
+}
+
+
 class TestNoQueryLost:
     @given(scenario=_fault_scenarios())
     @REPLAY_SETTINGS
@@ -794,6 +821,16 @@ class TestVectorizedSubmissionEquivalence:
             warnings.simplefilter("ignore", RuntimeWarning)
             return simulator.replay_multi(traces)
 
+    @pytest.mark.parametrize("name", sorted(PINNED_FAULT_SCENARIOS))
+    def test_pinned_fault_scenarios_match_golden(self, name):
+        scenario = PINNED_FAULT_SCENARIOS[name]
+        golden = DRAIN_GOLDENS["serving_faults"][name]
+        for engine, submission in (
+            ("event", "presample"), ("columnar", "vector")
+        ):
+            report = self._replay(scenario, engine, submission)
+            assert report_digest(report) == golden
+
     @given(scenario=_fault_scenarios())
     @REPLAY_SETTINGS
     def test_vector_replay_matches_event_engine(self, scenario):
@@ -896,7 +933,12 @@ class TestLazyPlanCounters:
         )
         lazy, _ = self._counters(seed, "columnar", "vector", plan)
         assert lazy == self._eager(seed, plan)[0]
-        assert lazy == self._counters(seed, "event", "presample", plan)[0]
+        reference = self._counters(seed, "event", "presample", plan)[0]
+        assert lazy == reference
+        assert (
+            hashlib.sha256(repr(reference).encode()).hexdigest()
+            == DRAIN_GOLDENS["plan_counters"][str(seed)]
+        )
 
     def test_a_kill_at_a_task_start_counts_none_of_its_tasks(self):
         # A cold SL times out exactly when its boot completes, which is
