@@ -109,6 +109,7 @@ def replay(autoscaler, traces, quick: bool, seed: int = 105):
         shards=SHARDS,
         router=TenantAffinityRouter(),
         autoscaler=autoscaler,
+        decision_reuse=False,
     )
     return simulator.replay_multi(traces, mode="vm-only")
 

@@ -100,6 +100,7 @@ def replay(trace, quick: bool, fault_plan=None, retry_policy=None):
         pool_config=PoolConfig(max_vms=16, max_sls=32),
         fault_plan=fault_plan,
         retry_policy=retry_policy,
+        decision_reuse=False,
     )
     return simulator.replay(trace)
 

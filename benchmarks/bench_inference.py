@@ -671,10 +671,16 @@ def bench_batched_serving(quick: bool) -> dict:
     # pool explicitly so capacity queueing does not blur decision time.
     pool = PoolConfig(max_vms=4096, max_sls=8192)
     batched = ServingSimulator(
-        build_system(), pool_config=pool, batch_window_s=5.0
+        build_system(),
+        pool_config=pool,
+        batch_window_s=5.0,
+        decision_reuse=False,
     ).replay(trace)
     solo = ServingSimulator(
-        build_system(), pool_config=pool, batch_window_s=None
+        build_system(),
+        pool_config=pool,
+        batch_window_s=None,
+        decision_reuse=False,
     ).replay(trace)
     assert batched.batched_decision_rate > 0.0, (
         "acceptance: the bursty replay must coalesce some arrivals"
@@ -687,8 +693,12 @@ def bench_batched_serving(quick: bool) -> dict:
             TraceEvent(40.0 * index, "tpcds-q82") for index in range(6)
         )
     )
-    exact = ServingSimulator(build_system(), batch_window_s=0.0).replay(sparse)
-    none = ServingSimulator(build_system(), batch_window_s=None).replay(sparse)
+    exact = ServingSimulator(
+        build_system(), batch_window_s=0.0, decision_reuse=False
+    ).replay(sparse)
+    none = ServingSimulator(
+        build_system(), batch_window_s=None, decision_reuse=False
+    ).replay(sparse)
     identical = (
         list(exact.latencies) == list(none.latencies)
         and [s.outcome.decision.config for s in exact.served]

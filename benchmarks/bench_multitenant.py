@@ -91,6 +91,7 @@ def _replay_multi(grant_policy=None, hot_quota=None, seed: int = 105):
         pool_config=PoolConfig(**TIGHT),
         tenants=_registry(hot_quota),
         grant_policy=grant_policy,
+        decision_reuse=False,
     )
     return simulator.replay_multi({"hot": HOT_TRACE, "quiet": QUIET_TRACE})
 
@@ -100,6 +101,7 @@ def _replay_solo(tenant: str, trace: WorkloadTrace, seed: int = 105):
         _build_system(seed),
         slo_seconds=SLO_SECONDS,
         pool_config=PoolConfig(**TIGHT),
+        decision_reuse=False,
     )
     return simulator.replay_multi({tenant: trace})
 

@@ -16,8 +16,8 @@ fresh identically-seeded system with retraining damped, so runs differ
 only in the provisioning policy.
 
 Serving runs ``vm-only`` (relay bridges SL cold boots, so VM-heavy
-serving is where warm-start economics are undiluted), on the columnar
-engine.
+serving is where warm-start economics are undiluted), with the
+simulator's default class-level decision reuse.
 
 Acceptance shape (asserted, deterministic in simulation):
 
@@ -140,7 +140,6 @@ def replay(autoscaler, planner, trace, quick: bool, seed: int = 131):
         slo_seconds=SLO_SECONDS,
         pool_config=PoolConfig(max_vms=BASELINE_VMS, max_sls=0),
         autoscaler=autoscaler,
-        engine="columnar",
         planner=planner,
     )
     return simulator.replay(trace, mode="vm-only")

@@ -102,6 +102,7 @@ def _replay(name, mode, config, autoscaler, trace):
         slo_seconds=SLO_SECONDS,
         pool_config=config,
         autoscaler=autoscaler,
+        decision_reuse=False,
     )
     return simulator.replay(trace, mode=mode)
 
@@ -163,6 +164,7 @@ def test_pool_serving(benchmark):
             timed_system,
             slo_seconds=SLO_SECONDS,
             pool_config=PoolConfig(**WIDE, **WARM),
+            decision_reuse=False,
         ).replay(timed_trace, mode="vm-only"),
         rounds=1,
         iterations=1,

@@ -1,12 +1,12 @@
-"""Million-arrival trace replay: columnar engine + streaming reports.
+"""Million-arrival trace replay: columnar drain + streaming reports.
 
 A day-long multi-tenant trace at population scale (one million arrivals
 in full mode) is generated in columns by
 :func:`repro.workloads.synthetic.make_scale_trace` and replayed through
-the :class:`ServingSimulator`'s columnar engine with streaming reports
+the :class:`ServingSimulator`'s columnar drain with streaming reports
 (``keep_queries=False``) and class-level decision reuse -- the serving
-stack this PR adds for traces that would drown the per-event engine in
-Python objects.
+stack for traces that would drown per-arrival bookkeeping in Python
+objects.
 
 Measured (and merged into ``BENCH_scale.json``, schema v2, one slot per
 ``(engine, mode)`` like the other bench files):
@@ -18,13 +18,15 @@ Measured (and merged into ``BENCH_scale.json``, schema v2, one slot per
 - the **per-query columnar reference** (one ``TaskScheduler`` object
   and one heap event per task) on the same full trace; its rate is what
   ``vector_vs_columnar.vector_speedup`` is banded against;
-- an **adaptive-window leg** (``batch_window_s="auto"``, now columnar)
-  on a 10x-baseline prefix, banded as ``adaptive_speedup``;
-- an **event-engine baseline** (pre-PR serving: per-arrival events,
-  ``keep_queries=True``, no decision reuse) on a short prefix of the
-  same trace.  The prefix rate flatters the baseline -- per-event replay
-  only gets slower as the trace grows -- so the reported ``speedup`` is
-  a conservative floor, and it is a same-machine ratio that transfers
+- an **adaptive-window leg** (``batch_window_s="auto"``) on a
+  10x-baseline prefix, banded as ``adaptive_speedup`` against the
+  per-query baseline;
+- a **per-query baseline** (the paper's serving model: every arrival
+  sized alone with ``decision_reuse=False``, per-query scheduler
+  objects, ``keep_queries=True``) on a short prefix of the same trace.
+  The prefix rate flatters the baseline -- a kept per-query list only
+  grows with the trace -- so ``columnar_vs_per_query.speedup`` is a
+  conservative floor, and it is a same-machine ratio that transfers
   across hardware for ``benchmarks/check_bench_regression.py`` to band;
 - **streaming report merge** time (sharded replays fold their
   accumulators together with :meth:`ServingReport.merge`);
@@ -34,16 +36,16 @@ Measured (and merged into ``BENCH_scale.json``, schema v2, one slot per
 Asserted in every mode (CI runs ``--quick`` on both inference engines):
 
 - the vector core reproduces the per-query reference report field for
-  field on the FULL trace, and the columnar engine reproduces the event
-  engine (plus vector vs presampling event) on the baseline prefix;
+  field on the FULL trace, and vector submission reproduces presample
+  submission with decision reuse off on the baseline prefix;
 - peak RSS stays under a mode-sized ceiling -- unchanged from the
   per-query columnar replay: the streaming report and the bounded
   history window keep replay memory flat in trace length;
 - the streaming report's multi-tenant invariants hold at scale:
   chargeback partitions the total bill, the Jain index is in (0, 1],
   and the pool's instance-second ledger balances;
-- full mode only: the columnar rate is >= 10x the event baseline, and
-  the vector core is >= 4x the per-query columnar rate.
+- full mode only: the columnar rate is >= 10x the per-query baseline,
+  and the vector core never loses to the per-query columnar rate.
 
 Run standalone (the CI smoke job uses ``--quick``)::
 
@@ -83,7 +85,7 @@ SLO_SECONDS = 300.0
 #: that keeps the simulated pool (not the decision path) light.
 KNOB = 0.3
 #: Short interactive queries, weighted toward the smallest -- the
-#: population-scale regime where per-arrival engine overhead (not query
+#: population-scale regime where per-arrival serving overhead (not query
 #: runtime) bounds replay throughput.
 QUERY_CLASSES = (
     "uniform-1x1s",
@@ -93,8 +95,8 @@ QUERY_CLASSES = (
 )
 CLASS_WEIGHTS = (4.0, 3.0, 2.0, 1.0)
 INPUT_GB_OCTAVES = (8.0, 16.0, 32.0)
-#: Arrivals in the event-engine baseline prefix; large enough that the
-#: per-arrival rate stabilises, small enough that the pre-PR engine
+#: Arrivals in the per-query baseline prefix; large enough that the
+#: per-arrival rate stabilises, small enough that per-query sizing
 #: finishes in seconds.
 BASELINE_ARRIVALS = {"quick": 1_000, "full": 5_000}
 #: Peak-RSS ceilings (MB).  The numpy fallback descends trees in Python
@@ -141,21 +143,19 @@ def build_system(seed: int = 1207) -> Smartpick:
 
 
 def build_simulator(
-    engine: str,
     keep_queries: bool,
-    decision_reuse: bool | None = None,
+    decision_reuse: bool = True,
     submission: str = "object",
     batch_window_s: float | None | str = 0.0,
 ) -> ServingSimulator:
     return ServingSimulator(
         build_system(),
         slo_seconds=SLO_SECONDS,
-        # Sized for the trace's burst peaks: the bench measures engine
+        # Sized for the trace's burst peaks: the bench measures replay
         # throughput, not capacity queueing (vm-only serving keeps the
         # warm-start economics simple, as in bench_autoscaler).
         pool_config=PoolConfig(max_vms=4096, max_sls=0),
         autoscaler=FixedKeepAlive(30.0, 7.5),
-        engine=engine,
         submission=submission,
         keep_queries=keep_queries,
         decision_reuse=decision_reuse,
@@ -189,9 +189,7 @@ def profile_layers(pairs, n_profile: int) -> dict[str, float]:
     import pstats
 
     prefix = prefix_pairs(pairs, n_profile)
-    simulator = build_simulator(
-        "columnar", keep_queries=False, submission="vector"
-    )
+    simulator = build_simulator(keep_queries=False, submission="vector")
     profiler = cProfile.Profile()
     profiler.enable()
     simulator.replay_multi(prefix, knob=KNOB, mode="vm-only")
@@ -256,7 +254,7 @@ def check_invariants(report: ServingReport, label: str) -> None:
 
 
 def report_signature(report: ServingReport) -> dict:
-    """Engine-independent report fields (wall-clock timings excluded)."""
+    """Simulated report fields (wall-clock timings excluded)."""
     return {
         "n_queries": report.n_queries,
         "query_cost_dollars": report.query_cost_dollars,
@@ -324,9 +322,7 @@ def main(argv: list[str] | None = None) -> int:
     # RSS ceilings are unchanged from the object-submission columnar
     # replay, pinning that compiled plans and batch leasing add no
     # per-arrival memory.
-    simulator = build_simulator(
-        "columnar", keep_queries=False, submission="vector"
-    )
+    simulator = build_simulator(keep_queries=False, submission="vector")
     started = time.perf_counter()
     vector_report = simulator.replay_multi(pairs, knob=KNOB, mode="vm-only")
     vector_s = time.perf_counter() - started
@@ -356,9 +352,7 @@ def main(argv: list[str] | None = None) -> int:
     # noise drawn per query in one block -- so its report is *bitwise*
     # comparable to the vector leg's even when queries overlap (the
     # object path interleaves concurrent queries' rng draws).
-    simulator = build_simulator(
-        "columnar", keep_queries=False, submission="presample"
-    )
+    simulator = build_simulator(keep_queries=False, submission="presample")
     started = time.perf_counter()
     streaming = simulator.replay_multi(pairs, knob=KNOB, mode="vm-only")
     columnar_s = time.perf_counter() - started
@@ -405,67 +399,50 @@ def main(argv: list[str] | None = None) -> int:
     merge_ms = merge_s / merges * 1e3
     print(f"  report merge: {merge_ms:.2f} ms per fold ({merges} folds)")
 
-    # Event-engine baseline (the pre-PR serving path) on a prefix.
+    # Per-query baseline on a prefix: the paper's serving model, every
+    # arrival sized alone (no decision reuse) with one scheduler object
+    # per query and the full per-query report list kept.
     baseline_pairs = prefix_pairs(pairs, n_baseline)
     n_prefix = sum(len(trace) for _, trace in baseline_pairs)
-    simulator = build_simulator(
-        "event", keep_queries=True, decision_reuse=False
-    )
+    simulator = build_simulator(keep_queries=True, decision_reuse=False)
     started = time.perf_counter()
-    event_report = simulator.replay_multi(
-        baseline_pairs, knob=KNOB, mode="vm-only"
-    )
-    event_s = time.perf_counter() - started
-    event_rate = n_prefix / event_s
-    speedup = columnar_rate / event_rate
+    simulator.replay_multi(baseline_pairs, knob=KNOB, mode="vm-only")
+    per_query_s = time.perf_counter() - started
+    per_query_rate = n_prefix / per_query_s
+    speedup = columnar_rate / per_query_rate
     print(
-        f"  event baseline: {n_prefix} arrivals in {event_s:.2f}s "
-        f"({event_rate:,.0f} arrivals/s) -> columnar speedup "
+        f"  per-query baseline: {n_prefix} arrivals in {per_query_s:.2f}s "
+        f"({per_query_rate:,.0f} arrivals/s) -> columnar speedup "
         f"{speedup:.1f}x (floor: prefix rate flatters the baseline)"
     )
 
-    # Equivalence: with reuse off, the columnar engine must reproduce
-    # the event engine's report on the same prefix field for field.
-    exact = build_simulator(
-        "columnar", keep_queries=True, decision_reuse=False
-    ).replay_multi(baseline_pairs, knob=KNOB, mode="vm-only")
-    event_signature = report_signature(event_report)
-    assert report_signature(exact) == event_signature, (
-        "columnar engine diverged from the event engine on the prefix"
-    )
-    # And the full vectorized stack (columnar drain + compiled plans +
-    # batch leasing) against the presampling event engine -- the locked
-    # noise convention -- on the same prefix.
-    presample_event = build_simulator(
-        "event", keep_queries=True, decision_reuse=False,
-        submission="presample",
+    # Equivalence: with reuse off, the full vectorized stack (compiled
+    # plans + batch leasing) must reproduce presample submission -- the
+    # locked noise convention -- on the same prefix, field for field.
+    presample = build_simulator(
+        keep_queries=True, decision_reuse=False, submission="presample"
     ).replay_multi(baseline_pairs, knob=KNOB, mode="vm-only")
     vector_exact = build_simulator(
-        "columnar", keep_queries=True, decision_reuse=False,
-        submission="vector",
+        keep_queries=True, decision_reuse=False, submission="vector"
     ).replay_multi(baseline_pairs, knob=KNOB, mode="vm-only")
-    assert report_signature(vector_exact) == report_signature(
-        presample_event
-    ), "vector core diverged from the presampling event engine"
-    print(
-        "  equivalence ok: columnar == event and vector == presample "
-        "event on the baseline prefix"
+    assert report_signature(vector_exact) == report_signature(presample), (
+        "vector core diverged from presample submission on the prefix"
     )
+    print("  equivalence ok: vector == presample on the baseline prefix")
 
     if not args.quick:
         assert speedup >= 10.0, (
             "acceptance: the columnar streaming replay must be >= 10x "
-            f"the per-event baseline rate, measured {speedup:.1f}x"
+            f"the per-query baseline rate, measured {speedup:.1f}x"
         )
 
-    # Adaptive-window leg: the "auto" tuner now drains columnarly too.
-    # Its grouping mixes measured decision wall time into the window,
-    # so only the rate is recorded (banded vs the event baseline).
+    # Adaptive-window leg: the "auto" tuner mixes measured decision wall
+    # time into its window, so only the rate is recorded (banded vs the
+    # per-query baseline).
     adaptive_pairs = prefix_pairs(pairs, min(n_arrivals, 10 * n_baseline))
     n_adaptive = sum(len(trace) for _, trace in adaptive_pairs)
     simulator = build_simulator(
-        "columnar", keep_queries=False, submission="vector",
-        batch_window_s="auto",
+        keep_queries=False, submission="vector", batch_window_s="auto"
     )
     started = time.perf_counter()
     adaptive_report = simulator.replay_multi(
@@ -474,11 +451,11 @@ def main(argv: list[str] | None = None) -> int:
     adaptive_s = time.perf_counter() - started
     assert adaptive_report.n_queries == n_adaptive
     adaptive_rate = n_adaptive / adaptive_s
-    adaptive_speedup = adaptive_rate / event_rate
+    adaptive_speedup = adaptive_rate / per_query_rate
     print(
         f"  adaptive columnar (auto window, vector core): {n_adaptive} "
         f"arrivals in {adaptive_s:.2f}s ({adaptive_rate:,.0f} arrivals/s, "
-        f"{adaptive_speedup:.1f}x the event baseline)"
+        f"{adaptive_speedup:.1f}x the per-query baseline)"
     )
 
     profile = None
@@ -520,14 +497,13 @@ def main(argv: list[str] | None = None) -> int:
             "arrivals_per_sec": adaptive_rate,
             "adaptive_speedup": adaptive_speedup,
         },
-        "event_baseline": {
+        "per_query_baseline": {
             "n_arrivals": n_prefix,
-            "wall_s": event_s,
-            "arrivals_per_sec": event_rate,
+            "wall_s": per_query_s,
+            "arrivals_per_sec": per_query_rate,
         },
-        "columnar_vs_event": {
+        "columnar_vs_per_query": {
             "speedup": speedup,
-            "equivalent_on_prefix": True,
         },
         "report_merge": {
             "merges": merges,

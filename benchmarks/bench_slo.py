@@ -143,6 +143,7 @@ def replay(
             else None  # weighted-fair is the default
         ),
         quota_priced_sizing=slo_first,
+        decision_reuse=False,
     )
     return simulator.replay_multi(traces)
 

@@ -43,7 +43,7 @@ _SPEEDUP_KEYS = (
     "availability",
     "cost_efficiency",
     # bench_scale: vectorized submission core vs per-query columnar, and
-    # the adaptive-window columnar leg vs the event baseline.
+    # the adaptive-window leg vs the per-query baseline.
     "vector_speedup",
     "adaptive_speedup",
     # bench_slo: interactive SLO attainment under deadline-aware grants

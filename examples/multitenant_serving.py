@@ -81,6 +81,7 @@ def main() -> None:
             slo_seconds=120.0,
             pool_config=PoolConfig(**POOL),
             grant_policy=grant_policy,
+            decision_reuse=False,
         )
         report = simulator.replay_multi(build_traces())
         print(f"\n=== {label} ===")

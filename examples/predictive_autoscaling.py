@@ -94,6 +94,7 @@ def main() -> None:
             shards=SHARDS,
             router=TenantAffinityRouter(),
             autoscaler=policy,
+            decision_reuse=False,
         ).replay_multi(TRACES, mode="vm-only")
         shard_text = ", ".join(
             f"{shard}={100 * cost:.2f}c"

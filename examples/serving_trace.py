@@ -59,7 +59,10 @@ def main() -> None:
     # and the warm row differs ONLY in keep-alive -- not in capacity.
     capacity = dict(max_vms=96, max_sls=192)
     simulator = ServingSimulator(
-        system, slo_seconds=120.0, pool_config=PoolConfig(**capacity)
+        system,
+        slo_seconds=120.0,
+        pool_config=PoolConfig(**capacity),
+        decision_reuse=False,
     )
     print("\nreplaying with Smartpick (hybrid)...")
     hybrid = simulator.replay(trace)
@@ -84,6 +87,7 @@ def main() -> None:
             vm_keep_alive_s=240.0,
             sl_keep_alive_s=60.0,
         ),
+        decision_reuse=False,
     )
     warm = warm_simulator.replay(trace, mode="vm-only")
     print(f"  {warm.summary()}")

@@ -13,11 +13,6 @@ measurements (Tables 1 and 5):
   external Redis host charged while serverless instances are alive.
 - :mod:`repro.cloud.instances` -- VM / serverless instance lifecycle state
   machines with billing accumulators.
-- :mod:`repro.cloud.resource_manager` -- the paper's per-query Resource
-  Manager (RM): spawns and tracks instances, maintains the REQUEST-ID to
-  INSTANCE-ID relay mapping, and produces per-query cost reports.  The
-  engine now leases workers from the :class:`ClusterPool` instead; the RM
-  remains as the faithful standalone model of the paper's component.
 - :mod:`repro.cloud.pool` -- the shared-cluster :class:`ClusterPool`:
   warm instances kept alive across query lifetimes, capacity queueing
   under pluggable grant policies, and pluggable autoscaling run *per
@@ -72,7 +67,6 @@ from repro.cloud.pool import (
     TenantSpec,
     WeightedFairGrant,
 )
-from repro.cloud.resource_manager import ResourceManager
 from repro.cloud.storage import ExternalStore, ObjectStore
 
 __all__ = [
@@ -102,7 +96,6 @@ __all__ = [
     "PoolStats",
     "PriceBook",
     "ProviderProfile",
-    "ResourceManager",
     "ServerlessInstance",
     "ShardRouter",
     "TenantAffinityRouter",

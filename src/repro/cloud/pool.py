@@ -1060,8 +1060,12 @@ class DeadlineAwareGrant(GrantPolicy):
     closest to missing its SLO is granted first.  Requests without a
     deadline (no tenant SLO) sort at infinite slack, i.e. behind every
     deadlined request, in arrival order among themselves -- so with all
-    SLOs unset the candidate order degenerates to exact arrival order
-    and grants replay identically to a single-tenant FIFO.
+    SLOs unset the candidate order degenerates to exact arrival order.
+    Every queued request is a candidate, so grants are first fit in that
+    order: a request that does not fit does not block a later one that
+    does.  That differs from :class:`FifoGrant` and from
+    :class:`WeightedFairGrant`, whose candidate is each tenant's
+    earliest request.
 
     Subtracting the common ``now`` keeps the order of the deadlines, so
     the order depends on the queue alone: it is sorted by ``(deadline,

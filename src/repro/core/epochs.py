@@ -33,7 +33,8 @@ the burst.  This module closes that loop:
 The serving loop (``ServingSimulator(planner=...)``) drives the cycle:
 arrivals feed the current epoch; at each boundary the epoch is closed
 into the forecaster, the next epoch is forecast, and the resulting plan
-is applied -- identically on the event and columnar engines.
+is applied.  Boundaries are simulator events, so a sizing group due at
+a boundary's exact timestamp is sized before the boundary closes.
 """
 
 from __future__ import annotations

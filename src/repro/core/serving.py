@@ -5,8 +5,9 @@ system instead faces a *stream* of ad-hoc arrivals (Section 2.1).  The
 :class:`ServingSimulator` replays one or many workload traces through a
 bootstrapped Smartpick **inside one shared discrete-event simulation**:
 
-- every arrival is scheduled as an event at its trace time and submitted
-  through the full Figure 3 workflow when it fires,
+- arrivals are drained from time-sorted columns: every runtime event
+  before an arrival's sizing time fires first, then the arrival is
+  submitted through the full Figure 3 workflow,
 - all queries execute concurrently against one shared
   :class:`~repro.cloud.pool.ClusterPool` -- overlapping arrivals contend
   for pool capacity, queue under the pool's grant policy when it
@@ -1142,7 +1143,7 @@ class _CompletionTable:
         if count > self.in_flight_peaks.get(tenant, 0):
             self.in_flight_peaks[tenant] = count
 
-    # Engine-facing adapters: the event engine hands back a
+    # Submission-facing adapters: the scheduler path hands back a
     # QueryExecution, the vectorized core a PlanRunner; both expose
     # ``result`` and ``lease``.
 
@@ -1271,12 +1272,14 @@ class _CompletionTable:
 def _group_bounds(
     times: np.ndarray, window: float | None
 ) -> Iterable[tuple[int, int]]:
-    """Yield ``[start, end)`` index runs of one sizing group each.
+    """Yield the ``[start, end)`` index run of each sizing group.
 
-    Mirrors :meth:`ServingSimulator._coalesce` exactly: a group collects
-    consecutive arrivals within ``window`` of its *first* member (so
-    windows never chain), ``window=0`` groups exact ties only, and
-    ``window=None`` keeps every arrival solo.
+    ``times`` must be sorted.  A group collects consecutive arrivals
+    within ``window`` seconds of its *first* member, so windows never
+    chain: 0, 4, 8, 12 under a 5 s window is two groups of two.
+    ``window=0`` groups exact ties only and ``window=None`` keeps every
+    arrival solo.  Groups may span tenants: coalescing shares a forest
+    pass, not a bill.
     """
     n = len(times)
     if n == 0:
@@ -1329,8 +1332,9 @@ class ServingSimulator:
         wait for the window is accounted per query as
         ``batching_delay_s``.  The default ``0.0`` only coalesces
         *exact-tick* arrivals, which wait for nothing; ``None`` disables
-        coalescing entirely (every arrival decided alone through the BO
-        path, the pre-coalescer behaviour, bit for bit).  Pass ``"auto"``
+        coalescing entirely (with ``decision_reuse=False``, every arrival
+        is decided alone through the BO path, the pre-coalescer
+        behaviour, bit for bit).  Pass ``"auto"``
         (or an :class:`~repro.core.forecast.AdaptiveBatchWindow`
         instance) to let the window auto-tune per group from the
         observed arrival rate and the measured per-pass decision
@@ -1347,19 +1351,6 @@ class ServingSimulator:
     shards / router / grant_policy:
         Forwarded to every replay's :class:`~repro.cloud.pool.ClusterPool`
         (named capacity partitions, placement policy, queue ordering).
-    engine:
-        ``"event"`` (default) schedules one heap event per sizing group,
-        exactly as before.  ``"columnar"`` drains the merged arrival
-        columns directly against the event heap
-        (:meth:`Simulator.run_before <repro.engine.simulator.Simulator>`
-        between groups), skipping the per-arrival event objects and
-        closures; the interleaving with pool events is event-exact, so
-        with ``decision_reuse=False`` the two engines produce identical
-        reports.  The columnar engine accepts :class:`ColumnarTrace`
-        inputs natively (a million arrivals are ~20 MB of columns);
-        with ``batch_window_s="auto"`` it drains arrivals one at a time
-        so the adaptive tuner sees the same event order as the event
-        engine.
     submission:
         How decided arrivals are turned into running queries.
         ``"object"`` (default) builds one :class:`TaskScheduler
@@ -1400,8 +1391,9 @@ class ServingSimulator:
         fresh sizings always go through the batched grid path (never the
         per-query BO loop).  Decision *features* (submit epoch, history
         mean, exact waiting count) may therefore be slightly stale for
-        reused arrivals.  Default ``None``: enabled for the columnar
-        engine, disabled for the event engine (which stays bit-exact).
+        reused arrivals.  Default ``True``.  ``False`` is the paper's
+        per-query sizing: every arrival is decided with its own exact
+        features, solo arrivals through the RF+BO path.
     retry_policy:
         Failure handling for revoked leases (fault injection).  A
         revoked arrival is resubmitted through the admission gate after
@@ -1455,10 +1447,9 @@ class ServingSimulator:
         router: ShardRouter | None = None,
         grant_policy: GrantPolicy | None = None,
         shard_autoscalers: dict[str, AutoscalerPolicy] | None = None,
-        engine: str = "event",
         submission: str = "object",
         keep_queries: bool = True,
-        decision_reuse: bool | None = None,
+        decision_reuse: bool = True,
         retry_policy: RetryPolicy | None = None,
         fault_plan: FaultPlan | None = None,
         max_pending_admission: int | None = None,
@@ -1469,10 +1460,6 @@ class ServingSimulator:
             raise ValueError("slo_seconds must be positive")
         if max_pending_admission is not None and max_pending_admission < 0:
             raise ValueError("max_pending_admission must be non-negative")
-        if engine not in ("event", "columnar"):
-            raise ValueError(
-                f"unknown engine {engine!r}; choose 'event' or 'columnar'"
-            )
         if submission not in ("object", "presample", "vector"):
             raise ValueError(
                 f"unknown submission {submission!r}; choose 'object', "
@@ -1503,12 +1490,9 @@ class ServingSimulator:
         self.router = router
         self.grant_policy = grant_policy
         self.shard_autoscalers = shard_autoscalers
-        self.engine = engine
         self.submission = submission
         self.keep_queries = keep_queries
-        self.decision_reuse = (
-            engine == "columnar" if decision_reuse is None else decision_reuse
-        )
+        self.decision_reuse = decision_reuse
         self.retry_policy = retry_policy
         self.fault_plan = fault_plan
         self.max_pending_admission = max_pending_admission
@@ -1531,31 +1515,6 @@ class ServingSimulator:
             return self.batch_window_s
         return None
 
-    def _coalesce(
-        self, arrivals: Iterable[_Arrival]
-    ) -> list[list[_Arrival]]:
-        """Group stream arrivals into sizing batches.
-
-        A group collects consecutive arrivals within ``batch_window_s``
-        of its *first* member (so windows never chain unboundedly); with
-        the default window of 0 only exact-tick arrivals share a group,
-        and with ``batch_window_s=None`` every arrival stands alone.
-        Groups may span tenants: coalescing shares a forest pass, not a
-        bill.
-        """
-        groups: list[list[_Arrival]] = []
-        for arrival in arrivals:
-            if (
-                self.batch_window_s is not None
-                and groups
-                and arrival.event.arrival_s - groups[-1][0].event.arrival_s
-                <= self.batch_window_s
-            ):
-                groups[-1].append(arrival)
-            else:
-                groups.append([arrival])
-        return groups
-
     def replay(
         self,
         trace: WorkloadTrace | ColumnarTrace,
@@ -1571,7 +1530,7 @@ class ServingSimulator:
         single vectorized forest pass; a solo arrival goes through the
         per-query BO determination exactly as before.  Traces may be
         event-object (:class:`WorkloadTrace`) or columnar
-        (:class:`ColumnarTrace`); either engine accepts both.
+        (:class:`ColumnarTrace`); both drain identically.
         """
         return self._replay([(DEFAULT_TENANT, trace)], knob=knob, mode=mode)
 
@@ -1703,9 +1662,9 @@ class ServingSimulator:
 
         # Merge the per-tenant traces into one time-ordered column set;
         # the sort is stable, so equal arrival times keep pair order and
-        # a single-trace replay preserves its exact trace order.  Both
-        # engines drain these columns -- the event engine materialises
-        # every arrival upfront, the columnar engine in batches.
+        # a single-trace replay preserves its exact trace order.  The
+        # drain below walks these columns, building each arrival's
+        # record only when its group fires.
         tenant_names = [tenant for tenant, _ in pairs]
         times, query_ids, query_index, input_gbs, tenant_index = (
             merge_arrival_columns(pairs)
@@ -1803,9 +1762,9 @@ class ServingSimulator:
                 policy = initializer.execution_policy(n_vm, n_sl)
                 hit = policy_cache[key] = (policy, plan_supports(policy))
             return hit
-        # The adaptive engine's currently open sizing group, hoisted so
+        # The adaptive drain's currently open sizing group, hoisted so
         # retried/admitted arrivals can join it (shared forest pass)
-        # instead of always deciding solo.  Static engines never fill it.
+        # instead of always deciding solo.  Static windows never fill it.
         open_group: list[_Arrival] = []
         fault_seed = self.fault_plan.seed if self.fault_plan is not None else 0
 
@@ -2248,8 +2207,8 @@ class ServingSimulator:
         # re-admissions can join it too), opens a new one that closes
         # after the tuner's *current* window, or -- when the window is
         # 0 -- decides solo immediately (the break-even says a wait is
-        # not worth a shared pass right now).  Both engines share these
-        # handlers; static engines never call them.
+        # not worth a shared pass right now).  Static windows never call
+        # these handlers.
         def close_group() -> None:
             group = list(open_group)
             open_group.clear()
@@ -2267,17 +2226,11 @@ class ServingSimulator:
             open_group.append(arrival)
             simulator.schedule(window, close_group)
 
-        # Epoch boundaries are ordinary simulator events, so both engines
-        # interleave them with arrivals identically: the first tick is
-        # created before any runtime event exists, and arrival-vs-tick
-        # ties resolve arrival-first on both engines (upfront arrivals
-        # carry smaller sequence numbers; ``run_before`` drains strictly
-        # before the tick's timestamp).  Ticks stop after the last
-        # arrival -- a plan nobody will arrive to use is wasted money.
+        # Epoch boundaries are ordinary simulator events.  Ticks stop
+        # after the last arrival -- a plan nobody will arrive to use is
+        # wasted money.
         epochs_planned = 0
         last_arrival_s = float(times[-1]) if n_arrivals else 0.0
-        if planner is not None and n_arrivals:
-            planner.begin(float(times[0]))
 
         def epoch_tick() -> None:
             nonlocal epochs_planned
@@ -2287,69 +2240,33 @@ class ServingSimulator:
             if next_end <= last_arrival_s:
                 simulator.schedule_at(next_end, epoch_tick)
 
-        def start_epoch_ticks() -> None:
-            if planner is None or n_arrivals == 0:
-                return
+        if planner is not None and n_arrivals:
+            planner.begin(float(times[0]))
             first_end = float(times[0]) + planner.epoch_s
-            if first_end > last_arrival_s:
-                return
-            simulator.schedule_at(first_end, epoch_tick)
+            if first_end <= last_arrival_s:
+                simulator.schedule_at(first_end, epoch_tick)
 
-        if self.engine == "columnar":
-            start_epoch_ticks()
-            # Drain the columns group by group instead of scheduling one
-            # EventHandle per arrival.  ``run_before(fire)`` drains every
-            # pending event strictly before the group's decide time, and
-            # the group then fires synchronously -- the same ordering the
-            # event engine produces, where upfront-scheduled groups have
-            # smaller sequence numbers than any runtime event at the same
-            # timestamp and therefore fire first.
-            fuse = max(DEFAULT_EVENT_BUDGET, 64 * n_arrivals)
+        # The drain: each sizing group fires at its decide time (its
+        # last member's arrival) after ``run_before`` has fired every
+        # pending event strictly before that time, so a group fires
+        # ahead of any runtime event -- an epoch tick included -- at the
+        # same timestamp.  The adaptive tuner's window evolves with
+        # every arrival, so under it each arrival is its own step and
+        # ``on_arrival`` does the grouping; a ``close_group`` scheduled
+        # at the next arrival's timestamp fires after that arrival.
+        fuse = max(DEFAULT_EVENT_BUDGET, 64 * n_arrivals)
+        window = self.batch_window_s if tuner is None else None
+        for start, end in _group_bounds(times, window):
+            fire = float(times[end - 1])
+            simulator.run_before(fire, max_events=fuse)
             if tuner is None:
-                for start, end in _group_bounds(times, self.batch_window_s):
-                    fire = float(times[end - 1])
-                    simulator.run_before(fire, max_events=fuse)
-                    submit_group(
-                        [make_arrival(i) for i in range(start, end)],
-                        decide_time=fire,
-                    )
+                submit_group(
+                    [make_arrival(i) for i in range(start, end)],
+                    decide_time=fire,
+                )
             else:
-                # Adaptive columnar drain: arrivals feed the tuner one
-                # at a time, so group boundaries (which depend on the
-                # tuner's evolving window) match the event engine's
-                # arrival-by-arrival order exactly.  A ``close_group``
-                # scheduled *at* the next arrival's timestamp fires
-                # after it, same as the event engine's tie-break for
-                # upfront-scheduled arrival events.
-                ticks = times.tolist()
-                for position in range(n_arrivals):
-                    simulator.run_before(ticks[position], max_events=fuse)
-                    on_arrival(make_arrival(position))
-            simulator.run(max_events=fuse)
-        elif tuner is None:
-            stream = [make_arrival(i) for i in range(n_arrivals)]
-            for group in self._coalesce(stream):
-                # The group decides when its window closes: the last
-                # member's arrival.  Solo groups (the default-window
-                # common case) fire at their own arrival time, exactly
-                # as before.
-                simulator.schedule_at(
-                    group[-1].event.arrival_s,
-                    lambda group=group: submit_group(
-                        group, group[-1].event.arrival_s
-                    ),
-                )
-            start_epoch_ticks()
-            simulator.run()
-        else:
-            for position in range(n_arrivals):
-                arrival = make_arrival(position)
-                simulator.schedule_at(
-                    arrival.event.arrival_s,
-                    lambda arrival=arrival: on_arrival(arrival),
-                )
-            start_epoch_ticks()
-            simulator.run()
+                on_arrival(make_arrival(start))
+        simulator.run(max_events=fuse)
         pool.shutdown()
         table.flush()
         # The table's admission hooks close over the replay's state,

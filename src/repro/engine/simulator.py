@@ -32,7 +32,7 @@ __all__ = ["DEFAULT_EVENT_BUDGET", "EventHandle", "Simulator"]
 
 #: The shared event-budget fuse: every drain loop (``run`` / ``run_until``
 #: / ``run_before`` here, the step loop in
-#: :func:`repro.engine.runner.run_query`, the columnar serving drain)
+#: :func:`repro.engine.runner.run_query`, the serving replay drain)
 #: bounds itself by this many processed events unless the caller passes
 #: an explicit ``max_events``.  Hitting the budget means the model is
 #: almost certainly re-scheduling itself in a loop -- the error says so
@@ -179,12 +179,11 @@ class Simulator:
     def run_before(self, time: float, max_events: int = DEFAULT_EVENT_BUDGET) -> None:
         """Process events *strictly* before simulated ``time``.
 
-        The columnar replay drain uses this to reproduce the event
-        engine's ordering exactly: pool events earlier than the next
-        arrival group fire first, the clock lands on ``time``, and the
-        group's events (which the event engine scheduled upfront, i.e.
-        with smaller sequence numbers than any runtime-scheduled event at
-        the same timestamp) run before same-time pool events.
+        Events at exactly ``time`` stay pending and the clock lands on
+        ``time``.  The serving replay drain relies on this ordering
+        condition: it calls ``run_before(t)`` and then fires the arrival
+        group due at ``t`` synchronously, so arrival groups fire before
+        same-time runtime events (pool boots, completions, epoch ticks).
         """
         if time < self._now:
             raise ValueError("cannot run backwards in time")

@@ -104,7 +104,7 @@ class ColumnarTrace:
     :class:`TraceEvent` object per arrival -- tens of bytes per arrival
     instead of hundreds, and O(1) Python objects regardless of length.
     :meth:`ServingSimulator.replay <repro.core.serving.ServingSimulator>`
-    accepts either form; the columnar engine drains this one directly.
+    accepts either form and drains this one without building events.
     """
 
     arrival_s: np.ndarray
@@ -288,10 +288,10 @@ def merge_arrival_columns(
     Returns ``(times, query_ids, query_index, input_gb, tenant_index)``
     with ``query_index`` into the deduplicated ``query_ids`` table and
     ``tenant_index`` into ``pairs`` order.  The sort is stable, so equal
-    arrival times keep pair order (and, within a pair, trace order) --
-    the tie-break the serving event engine's upfront scheduling
-    produces.  Both serving engines drain these columns; a columnar
-    trace passes straight through without materialising event objects.
+    arrival times keep pair order (and, within a pair, trace order),
+    which is the order the serving replay sizes same-time arrivals in.
+    The replay drains these columns; a columnar trace passes straight
+    through without materialising event objects.
     """
     id_table: dict[str, int] = {}
     times_parts: list[np.ndarray] = []

@@ -149,6 +149,7 @@ def test_billed_time_partitions_into_query_and_keepalive(
         _system(seed),
         pool_config=PoolConfig(max_vms=6, max_sls=6),
         autoscaler=_build_autoscaler(autoscaler_name),
+        decision_reuse=False,
     ).replay(trace)
 
     # Total billed dollars are exactly query spend + keep-alive spend,
@@ -209,6 +210,7 @@ def test_batch_window_default_off_paths_are_bit_for_bit(trace, seed):
             _system(seed),
             pool_config=config,
             batch_window_s=batch_window,
+            decision_reuse=False,
         ).replay(trace)
 
     zero = run(0.0)

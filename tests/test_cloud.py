@@ -1,4 +1,4 @@
-"""Unit tests for the cloud substrate: providers, pricing, instances, RM."""
+"""Unit tests for the cloud substrate: providers, pricing, instances."""
 
 import numpy as np
 import pytest
@@ -8,7 +8,6 @@ from repro.cloud import (
     GCP_PROFILE,
     InstanceState,
     PriceBook,
-    ResourceManager,
     ServerlessInstance,
     VMInstance,
     get_provider,
@@ -164,75 +163,6 @@ class TestInstanceLifecycle:
         assert sl.tasks_executed == 2
         with pytest.raises(ValueError):
             sl.mark_busy(-1.0)
-
-
-class TestResourceManager:
-    def _rm(self, relay=True):
-        return ResourceManager(AWS_PROFILE, AWS_PRICES, relay_enabled=relay)
-
-    def test_spawn_counts(self):
-        rm = self._rm()
-        vms = rm.spawn_vms(3, now=0.0)
-        sls = rm.spawn_sls(2, now=0.0)
-        assert len(rm.vms) == 3
-        assert len(rm.sls) == 2
-        assert all(vm.state is InstanceState.BOOTING for vm in vms)
-        assert all(sl.state is InstanceState.BOOTING for sl in sls)
-
-    def test_boot_durations_follow_profile(self):
-        rm = self._rm()
-        vm = rm.spawn_vms(1, 0.0)[0]
-        sl = rm.spawn_sls(1, 0.0)[0]
-        assert rm.boot_duration(vm) == AWS_PROFILE.vm_boot_seconds
-        assert rm.boot_duration(sl) == AWS_PROFILE.sl_boot_seconds
-
-    def test_relay_mapping_consumed_once(self):
-        rm = self._rm()
-        vm = rm.spawn_vms(1, 0.0)[0]
-        sl = rm.spawn_sls(1, 0.0)[0]
-        rm.pair_for_relay(sl, vm)
-        assert rm.relay_partner(vm) is sl
-        assert rm.relay_partner(vm) is None
-
-    def test_double_pairing_rejected(self):
-        rm = self._rm()
-        vm = rm.spawn_vms(1, 0.0)[0]
-        sls = rm.spawn_sls(2, 0.0)
-        rm.pair_for_relay(sls[0], vm)
-        with pytest.raises(ValueError):
-            rm.pair_for_relay(sls[1], vm)
-
-    def test_pairing_requires_relay_enabled(self):
-        rm = self._rm(relay=False)
-        vm = rm.spawn_vms(1, 0.0)[0]
-        sl = rm.spawn_sls(1, 0.0)[0]
-        with pytest.raises(RuntimeError):
-            rm.pair_for_relay(sl, vm)
-
-    def test_cost_report_adds_redis_only_when_sl_worked(self):
-        rm = self._rm()
-        vm = rm.spawn_vms(1, 0.0)[0]
-        rm.mark_ready(vm, 31.5)
-        rm.terminate_all(100.0)
-        no_sl = rm.cost_report(query_duration=100.0, now=100.0)
-        assert no_sl.external_store == 0.0
-
-        rm2 = self._rm()
-        sl = rm2.spawn_sls(1, 0.0)[0]
-        rm2.mark_ready(sl, 0.1)
-        sl.mark_busy(10.0)
-        rm2.terminate_all(50.0)
-        with_sl = rm2.cost_report(query_duration=50.0, now=50.0)
-        assert with_sl.external_store == pytest.approx(
-            AWS_PRICES.redis_charge(50.0)
-        )
-
-    def test_terminate_all_is_idempotent(self):
-        rm = self._rm()
-        rm.spawn_vms(2, 0.0)
-        rm.terminate_all(10.0)
-        rm.terminate_all(20.0)
-        assert all(not i.is_alive for i in rm.instances)
 
 
 class TestStorage:

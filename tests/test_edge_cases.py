@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from repro.cloud import get_provider
-from repro.cloud.instances import InstanceState
 from repro.engine import (
     NoEarlyTermination,
     QuerySpec,
@@ -185,16 +184,6 @@ class TestHistoryJsonRobustness:
 
 
 class TestInstanceStateEdges:
-    def test_drain_is_noop_on_terminated(self):
-        from repro.cloud.pricing import get_prices
-        from repro.cloud.resource_manager import ResourceManager
-
-        rm = ResourceManager(AWS, get_prices("aws"))
-        sl = rm.spawn_sls(1, 0.0)[0]
-        rm.terminate(sl, 1.0)
-        rm.drain(sl, 2.0)  # silently ignored
-        assert sl.state is InstanceState.TERMINATED
-
     def test_deployed_seconds_clamps_at_zero(self):
         from repro.cloud.instances import VMInstance
 

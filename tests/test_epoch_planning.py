@@ -12,7 +12,7 @@ Four layers pin the planner stack:
   leases and plans).
 - **Inert-planner bit-exactness**: a planner that can neither pre-warm
   nor re-shape capacity leaves the replay field-for-field identical to
-  ``planner=None`` on BOTH engines (hypothesis over traces).
+  ``planner=None`` (hypothesis over traces).
 - **Forecast-aware routing**: a cold shard with a hot forecast attracts
   the planner's pre-warm, not the traffic -- traffic follows actual
   warmth and only consolidates on predicted warmth as a tie-break.
@@ -371,10 +371,9 @@ def _served_signature(query) -> tuple:
 
 class TestInertPlannerBitExact:
 
-    @pytest.mark.parametrize("engine", ["event", "columnar"])
     @given(trace=_traces())
     @REPLAY_SETTINGS
-    def test_inert_planner_is_invisible(self, engine, trace):
+    def test_inert_planner_is_invisible(self, trace):
         """A planner that can neither pre-warm nor re-shape capacity
         emits only empty plans; serving with it must be field-for-field
         identical to ``planner=None`` -- the epoch ticks fire, but no
@@ -385,7 +384,6 @@ class TestInertPlannerBitExact:
                     seed=281, n_configs_per_query=6, max_vm=6, max_sl=6
                 ),
                 pool_config=PoolConfig(max_vms=8, max_sls=8),
-                engine=engine,
                 decision_reuse=False,
                 planner=planner,
             ).replay(trace)
@@ -472,13 +470,12 @@ class TestForecastAwareRouting:
 
 
 # ---------------------------------------------------------------------------
-# End-to-end: the planner actually plans (both engines)
+# End-to-end: the planner actually plans
 # ---------------------------------------------------------------------------
 
 class TestPlannerEndToEnd:
 
-    @pytest.mark.parametrize("engine", ["event", "columnar"])
-    def test_planner_prewarms_on_a_seasonal_trace(self, engine):
+    def test_planner_prewarms_on_a_seasonal_trace(self):
         trace = make_epoch_trace(
             160,
             period_s=600.0,
@@ -495,7 +492,6 @@ class TestPlannerEndToEnd:
             ),
             slo_seconds=60.0,
             pool_config=PoolConfig(max_vms=64, max_sls=64),
-            engine=engine,
             decision_reuse=False,
             planner=FleetPlanner(
                 epoch_s=150.0,

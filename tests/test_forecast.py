@@ -414,6 +414,7 @@ class TestServingIntegration:
             system,
             pool_config=PoolConfig(max_vms=16, max_sls=16),
             autoscaler=policy,
+            decision_reuse=False,
         ).replay(build_bursty_trace(4, spacing_s=10.0))
         observed = policy.forecaster.classes()
         assert observed  # the serving layer fed arrivals through
@@ -429,6 +430,7 @@ class TestServingIntegration:
             build_small_system(seed=317),
             pool_config=PoolConfig(max_vms=16, max_sls=16),
             autoscaler=policy,
+            decision_reuse=False,
         ).replay(build_bursty_trace(4, spacing_s=10.0))
         # Every completion's actual runtime reached the EWMA.
         assert policy.duration_estimate_s is not None
@@ -442,6 +444,7 @@ class TestServingIntegration:
             build_small_system(seed=311),
             pool_config=PoolConfig(max_vms=12, max_sls=12),
             autoscaler=policy,
+            decision_reuse=False,
         ).replay(build_bursty_trace(14, spacing_s=12.0), mode="vm-only")
         assert report.pool_stats.warm_starts > 0
         assert report.keepalive_cost_dollars >= 0.0
@@ -464,6 +467,7 @@ class TestServingIntegration:
             shards=shards,
             router=TenantAffinityRouter(),
             shard_autoscalers=per_shard,
+            decision_reuse=False,
         ).replay_multi({
             "hot": build_bursty_trace(4, spacing_s=8.0),
             "quiet": build_bursty_trace(2, spacing_s=60.0, start_s=3.0),
@@ -490,6 +494,7 @@ class TestServingIntegration:
                 "shard-0": PredictiveKeepAlive(shared),
                 "shard-1": PredictiveKeepAlive(shared),
             },
+            decision_reuse=False,
         ).replay(build_bursty_trace(6, spacing_s=10.0))
         key = system.predictor.query_class("tpcds-q82", 100.0)
         assert shared.class_gap(key) == pytest.approx(10.0)
@@ -510,6 +515,7 @@ class TestServingIntegration:
             shards=shards,
             router=TenantAffinityRouter(),
             autoscaler=policy,
+            decision_reuse=False,
         ).replay_multi({"hot": build_bursty_trace(3, spacing_s=30.0)})
         # "hot" pins to shard-1; shard-0 saw nothing but is pinned.
         assert policy.forecaster.forecast_gap(
@@ -522,6 +528,7 @@ class TestServingIntegration:
             build_small_system(seed=313),
             pool_config=PoolConfig(max_vms=32, max_sls=32),
             batch_window_s="auto",
+            decision_reuse=False,
         ).replay(build_bursty_trace(6, spacing_s=0.001))
         assert report.n_queries == 6
         for query in report.served:

@@ -85,10 +85,15 @@ def traces(max_events: int = 4):
 @REPLAY_SETTINGS
 def test_single_tenant_replay_multi_equals_replay(trace, weight, seed):
     config = PoolConfig(max_vms=6, max_sls=6, vm_keep_alive_s=90.0)
-    solo = ServingSimulator(_system(seed), pool_config=config).replay(trace)
+    solo = ServingSimulator(
+        _system(seed), pool_config=config, decision_reuse=False
+    ).replay(trace)
     registry = TenantRegistry([TenantSpec("alice", weight=weight)])
     multi = ServingSimulator(
-        _system(seed), pool_config=config, tenants=registry
+        _system(seed),
+        pool_config=config,
+        tenants=registry,
+        decision_reuse=False,
     ).replay_multi({"alice": trace})
 
     assert multi.tenants == ("alice",)
@@ -134,6 +139,7 @@ def test_chargeback_conservation(
             vm_keep_alive_s=keep_alive, sl_keep_alive_s=keep_alive / 4.0,
         ),
         tenants=registry,
+        decision_reuse=False,
     ).replay_multi({"hot": hot_trace, "quiet": quiet_trace})
 
     bills = report.chargeback()
@@ -176,6 +182,7 @@ def test_quotas_never_exceeded(
         _system(seed),
         pool_config=PoolConfig(max_vms=6, max_sls=6),
         tenants=registry,
+        decision_reuse=False,
     ).replay_multi({"hot": hot_trace, "quiet": quiet_trace})
 
     # Leased-worker quotas: the pool records peaks at every grant, and

@@ -17,7 +17,7 @@ import zlib
 
 import pytest
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.cloud.faults import FaultPlan
@@ -361,11 +361,16 @@ class TestReplayMulti:
         trace = build_bursty_trace(3, spacing_s=20.0)
         config = PoolConfig(max_vms=8, max_sls=8, vm_keep_alive_s=120.0)
         solo = ServingSimulator(
-            build_small_system(seed=201), pool_config=config
+            build_small_system(seed=201),
+            pool_config=config,
+            decision_reuse=False,
         ).replay(trace)
         registry = TenantRegistry([TenantSpec("alice", weight=7.0)])
         multi = ServingSimulator(
-            build_small_system(seed=201), pool_config=config, tenants=registry
+            build_small_system(seed=201),
+            pool_config=config,
+            tenants=registry,
+            decision_reuse=False,
         ).replay_multi({"alice": trace})
         assert multi.tenants == ("alice",)
         assert list(solo.latencies) == list(multi.latencies)
@@ -383,6 +388,7 @@ class TestReplayMulti:
         report = ServingSimulator(
             build_small_system(seed=202),
             pool_config=PoolConfig(max_vms=32, max_sls=32),
+            decision_reuse=False,
         ).replay_multi(_two_tenant_traces())
         arrivals = [s.arrival_s for s in report.served]
         assert arrivals == sorted(arrivals)
@@ -399,13 +405,14 @@ class TestReplayMulti:
             build_small_system(seed=208),
             pool_config=PoolConfig(max_vms=8, max_sls=8),
             tenants=registry,
+            decision_reuse=False,
         )
         with pytest.raises(KeyError):
             simulator.replay_multi({"stranger": build_bursty_trace(1)})
 
     def test_duplicate_or_empty_tenants_rejected(self):
         system = build_small_system(seed=203)
-        simulator = ServingSimulator(system)
+        simulator = ServingSimulator(system, decision_reuse=False)
         trace = build_bursty_trace(1)
         with pytest.raises(ValueError):
             simulator.replay_multi([("a", trace), ("a", trace)])
@@ -420,6 +427,7 @@ class TestReplayMulti:
             build_small_system(seed=204),
             pool_config=PoolConfig(max_vms=32, max_sls=32),
             tenants=registry,
+            decision_reuse=False,
         ).replay_multi(_two_tenant_traces(n_hot=3, n_quiet=1))
         hot = [s for s in report.served if s.tenant == "hot"]
         # With one in-flight slot and 2 s spacing, later hot arrivals
@@ -455,6 +463,7 @@ class TestReplayMulti:
             build_small_system(seed=205),
             pool_config=PoolConfig(max_vms=8, max_sls=8),
             tenants=registry,
+            decision_reuse=False,
         ).replay_multi(_two_tenant_traces())
         vm_peak, sl_peak = report.tenant_peaks["hot"]
         assert vm_peak <= 3 and sl_peak <= 3
@@ -476,6 +485,7 @@ class TestReplayMulti:
             pool_config=PoolConfig(max_vms=8, max_sls=8),
             tenants=TenantRegistry([spec]),
             quota_priced_sizing=True,
+            decision_reuse=False,
         )
         with pytest.raises(ValueError, match="tenant 't' no quota"):
             simulator.replay_multi(
@@ -496,6 +506,7 @@ class TestChargebackAndFairness:
                 vm_keep_alive_s=300.0, sl_keep_alive_s=60.0,
             ),
             tenants=registry,
+            decision_reuse=False,
         ).replay_multi(_two_tenant_traces())
 
     def test_chargeback_partitions_total_cost(self, report):
@@ -531,6 +542,7 @@ class TestChargebackAndFairness:
         report = ServingSimulator(
             build_small_system(seed=207),
             pool_config=PoolConfig(max_vms=16, max_sls=16),
+            decision_reuse=False,
         ).replay(build_bursty_trace(2, spacing_s=30.0))
         assert report.jain_fairness_index == 1.0
         assert report.tenants == (DEFAULT_TENANT,)
@@ -576,8 +588,8 @@ class Scenario:
     retry_policy: RetryPolicy | None = None
     #: Admission-queue depth bound (None = unbounded, no shedding).
     max_pending_admission: int | None = None
-    #: Decision engine ("event" or "columnar").
-    engine: str = "event"
+    #: Class-level decision reuse (False = the paper's per-query sizing).
+    decision_reuse: bool = False
     #: Submission path ("object", "presample" or "vector").
     submission: str = "object"
     #: Price tenant lease quotas into the sizing grid (Eq. 4 bounds).
@@ -764,11 +776,11 @@ def _scenarios() -> tuple[Scenario, ...]:
             fault_plan=FaultPlan(seed=222, vm_preemptions_per_hour=40.0),
             retry_policy=RetryPolicy(max_retries=5, backoff_base_s=1.0),
         ),
-        # ----- vectorized submission core: the columnar engine's batch
-        # leasing path must uphold every shared invariant (quotas,
-        # chargeback conservation, retry accounting) -- not just match
-        # the event engine field-for-field (test_serving_faults pins
-        # that equivalence).
+        # ----- vectorized submission core: its batch leasing path must
+        # uphold every shared invariant (quotas, chargeback
+        # conservation, retry accounting) -- not just match presample
+        # submission field-for-field (test_serving_faults pins that
+        # equivalence).
         Scenario(
             name="vectorized-core-faults-quotas",
             seed=223,
@@ -786,7 +798,7 @@ def _scenarios() -> tuple[Scenario, ...]:
                 seed=7, sl_failure_rate=0.05, sl_failure_delay_s=4.0
             ),
             retry_policy=RetryPolicy(max_retries=3, backoff_base_s=2.0),
-            engine="columnar",
+            decision_reuse=True,
             submission="vector",
         ),
         # ----- SLO-first scheduling: deadline-aware grants + quota-priced
@@ -875,7 +887,7 @@ def test_scenario_invariants(scenario: Scenario):
         fault_plan=scenario.fault_plan,
         retry_policy=scenario.retry_policy,
         max_pending_admission=scenario.max_pending_admission,
-        engine=scenario.engine,
+        decision_reuse=scenario.decision_reuse,
         submission=scenario.submission,
         quota_priced_sizing=scenario.quota_priced_sizing,
         planner=scenario.planner,
@@ -1029,6 +1041,7 @@ def test_fair_policy_shields_quiet_tenant_vs_fifo():
             pool_config=tight,
             tenants=registry,
             grant_policy=policy,
+            decision_reuse=False,
         ).replay_multi(traces)
 
     fair = run(None)  # weighted-fair is the default
@@ -1059,17 +1072,15 @@ def _served_signature(query) -> tuple:
     )
 
 
-@pytest.mark.parametrize("engine", ["event", "columnar"])
-def test_zero_fault_plan_is_bit_exact(engine):
+def test_zero_fault_plan_is_bit_exact():
     """A zero :class:`FaultPlan` (and a retry policy that never fires)
     must leave the replay field-for-field identical to today's
-    fault-free run on BOTH engines: no injector is attached, no RNG is
-    drawn, and no extra events are scheduled."""
+    fault-free run: no injector is attached, no RNG is drawn, and no
+    extra events are scheduled."""
     def run(**kwargs):
         return ServingSimulator(
             build_small_system(seed=223),
             pool_config=PoolConfig(max_vms=16, max_sls=16),
-            engine=engine,
             decision_reuse=False,
             **kwargs,
         ).replay_multi(_two_tenant_traces(n_hot=3, n_quiet=2))
@@ -1106,12 +1117,46 @@ def _equivalence_traces():
     )
 
 
-@pytest.mark.parametrize("engine", ["event", "columnar"])
+class _FirstFitGrant(GrantPolicy):
+    """Reference policy: every queued request is a candidate, in arrival
+    order, and the first one that fits is granted."""
+
+    def candidates(self, shard, pool):
+        return shard.queue
+
+    def describe(self) -> str:
+        return "first-fit"
+
+
+#: A trace on which, sized per query (seed 1), a later request fits a
+#: 3-worker pool while an earlier one is blocked: first fit grants it,
+#: per-tenant FIFO (:class:`WeightedFairGrant`, the default) holds it
+#: back, so the two replays differ.
+_BACKFILL_TRACE = WorkloadTrace(events=tuple(
+    TraceEvent(arrival, query_id, input_gb=size)
+    for arrival, query_id, size in (
+        (3.3098879580197957, "tpcds-q82", 74.9437186178171),
+        (23.62962528677875, "tpcds-q68", 87.95048064814029),
+        (30.705316446591212, "tpcds-q68", 137.5741529270482),
+        (38.433171765261285, "tpcds-q68", 86.11693015044483),
+        (42.4131539329745, "tpcds-q68", 117.53),
+    )
+))
+
+
+@pytest.mark.parametrize(
+    "decision_reuse",
+    [
+        pytest.param(False, id="per-query"),
+        pytest.param(True, id="reuse"),
+    ],
+)
 @given(
     trace=_equivalence_traces(),
     max_vms=st.integers(min_value=2, max_value=4),
     seed=st.integers(min_value=0, max_value=2),
 )
+@example(trace=_BACKFILL_TRACE, max_vms=3, seed=1)
 @settings(
     max_examples=4,
     deadline=None,
@@ -1121,20 +1166,21 @@ def _equivalence_traces():
         HealthCheck.function_scoped_fixture,
     ],
 )
-def test_unset_slos_deadline_aware_equals_weighted_fair(
-    engine, trace, max_vms, seed
+def test_unset_slos_deadline_aware_is_first_fit_in_arrival_order(
+    decision_reuse, trace, max_vms, seed
 ):
     """With every SLO unset, :class:`DeadlineAwareGrant` must replay
-    field-for-field identically to the default :class:`WeightedFairGrant`
-    on both engines.
+    field-for-field identically to first fit over the queue in arrival
+    order, with and without decision reuse.
 
     No deadlines means every queued lease sorts at infinite slack in
-    arrival order, and within a single tenant weighted-fair grants are
-    FIFO too -- so even on a tight pool where requests genuinely queue,
+    arrival order, so the slack sort, its memo and the preemption hooks
+    add nothing -- even on a tight pool where requests genuinely queue,
     the grant sequences (and therefore every latency, cost and stat)
-    coincide.  The property pins the tentpole's bit-exactness promise:
-    attaching the deadline machinery without configuring SLOs changes
-    nothing.
+    coincide.  The default :class:`WeightedFairGrant` is *not* the
+    reference: it offers only each tenant's earliest request, so a
+    request that does not fit blocks its tenant, where first fit grants
+    a later request that does (``_BACKFILL_TRACE``).
     """
     def run(policy: GrantPolicy | None):
         system = build_small_system(
@@ -1145,16 +1191,18 @@ def test_unset_slos_deadline_aware_equals_weighted_fair(
             pool_config=PoolConfig(max_vms=max_vms, max_sls=max_vms),
             tenants=TenantRegistry([TenantSpec("solo")]),
             grant_policy=policy,
-            engine=engine,
+            decision_reuse=decision_reuse,
         ).replay_multi({"solo": trace})
 
-    fair = run(None)  # weighted-fair is the default
+    first_fit = run(_FirstFitGrant())
     deadline = run(DeadlineAwareGrant())
-    assert [_served_signature(s) for s in fair.served] == [
+    assert [_served_signature(s) for s in first_fit.served] == [
         _served_signature(s) for s in deadline.served
     ]
-    assert fair.total_cost_dollars == deadline.total_cost_dollars
-    assert fair.keepalive_cost_dollars == deadline.keepalive_cost_dollars
-    assert fair.pool_stats == deadline.pool_stats
+    assert first_fit.total_cost_dollars == deadline.total_cost_dollars
+    assert (
+        first_fit.keepalive_cost_dollars == deadline.keepalive_cost_dollars
+    )
+    assert first_fit.pool_stats == deadline.pool_stats
     assert deadline.tenant_slos == {}
     assert deadline.wasted_cost_dollars == 0.0

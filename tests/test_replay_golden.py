@@ -44,15 +44,17 @@ PERIOD_S = 600.0
 
 #: :func:`report_digest` goldens of the serving scenarios in
 #: ``test_scale_serving.py`` and ``test_serving_faults.py``, pinned on
-#: the per-arrival event drain (plus instance-counter digests of the
-#: plan-runner fault test), keyed by file section and scenario name.
+#: the per-arrival event drain the columnar drain replaced (plus
+#: instance-counter digests of the plan-runner fault test), keyed by
+#: file section and scenario name.
 DRAIN_GOLDENS: dict[str, dict] = json.loads(
     (pathlib.Path(__file__).parent / "drain_goldens.json").read_text()
 )
 
-#: Per-field SHA-256 digests of :func:`report_digest`, per replay path.
-GOLDEN_REPORT_DIGESTS: dict[tuple[str, str], dict[str, str]] = {
-    ("columnar", "vector"): {
+#: Per-field SHA-256 digests of :func:`report_digest`, keyed by
+#: ``(submission, decision_reuse)``.
+GOLDEN_REPORT_DIGESTS: dict[tuple[str, bool], dict[str, str]] = {
+    ("vector", True): {
         "served": (
             "cbfb0a7c8d0c75f2c2f5831336cbf9b303daea9bb5d0b2739ee532c05fef9a66"
         ),
@@ -99,7 +101,7 @@ GOLDEN_REPORT_DIGESTS: dict[tuple[str, str], dict[str, str]] = {
             "2078aee0c06ce8dc613cde9e918d6688f6e44e3a7fecad456a5a5fbcd11d8254"
         ),
     },
-    ("event", "object"): {
+    ("object", False): {
         "served": (
             "77a6e1eacd15a18a9d89a946e61f862c76ab1e1687b70d9360336d076ee351d0"
         ),
@@ -149,7 +151,9 @@ GOLDEN_REPORT_DIGESTS: dict[tuple[str, str], dict[str, str]] = {
 }
 
 
-def contended_simulator(engine: str, submission: str) -> ServingSimulator:
+def contended_simulator(
+    submission: str, decision_reuse: bool
+) -> ServingSimulator:
     planner = FleetPlanner(
         epoch_s=PERIOD_S / 4, forecaster=EpochForecaster(season_length=4)
     )
@@ -177,8 +181,8 @@ def contended_simulator(engine: str, submission: str) -> ServingSimulator:
         autoscaler=PredictiveKeepAlive(headroom=3.0),
         planner=planner,
         batch_window_s=2.0,
-        engine=engine,
         submission=submission,
+        decision_reuse=decision_reuse,
     )
 
 
@@ -278,10 +282,14 @@ def report_digest(report) -> dict[str, str]:
 
 
 @pytest.mark.parametrize(
-    "engine, submission", [("columnar", "vector"), ("event", "object")]
+    "submission, decision_reuse",
+    [
+        pytest.param("vector", True, id="columnar-vector"),
+        pytest.param("object", False, id="columnar-object"),
+    ],
 )
-def test_contended_replay_matches_golden(engine, submission):
-    report = contended_simulator(engine, submission).replay_multi(
+def test_contended_replay_matches_golden(submission, decision_reuse):
+    report = contended_simulator(submission, decision_reuse).replay_multi(
         contended_traces()
     )
     stats = report.pool_stats
@@ -293,4 +301,7 @@ def test_contended_replay_matches_golden(engine, submission):
     assert report.epochs_planned > 0
     if submission == "object":
         assert stats.coop_preemptions > 0
-    assert report_digest(report) == GOLDEN_REPORT_DIGESTS[engine, submission]
+    assert (
+        report_digest(report)
+        == GOLDEN_REPORT_DIGESTS[submission, decision_reuse]
+    )

@@ -1,11 +1,12 @@
-"""Columnar replay engine + streaming reports: equivalence and scale.
+"""Columnar replay drain + streaming reports: pinned reports and scale.
 
 Three layers pin the million-arrival serving stack:
 
-- **Engine equivalence**: with decision reuse off, the columnar engine
-  must reproduce the event engine's replay field for field (it is the
-  same submission workflow, drained from columns instead of one
-  scheduled event per arrival), for both trace representations.
+- **Pinned reports**: with decision reuse off, the drain must reproduce
+  field-wise digests recorded on the per-arrival event drain it
+  replaced (``drain_goldens.json``), for both trace representations,
+  static and adaptive batch windows, mid-replay retrains and a live
+  fleet planner.
 - **Streaming reports**: ``keep_queries=False`` drops the per-query
   list; every metric the streaming accumulators carry must agree with
   the ``keep_queries=True`` report of the same replay, and the
@@ -75,10 +76,9 @@ def make_trace(n_minutes: float = 10.0, rng: int = 7) -> WorkloadTrace:
 
 
 def replay(
-    engine: str,
     trace,
     keep_queries: bool = True,
-    decision_reuse: bool | None = None,
+    decision_reuse: bool = True,
     seed: int = 47,
     system_overrides: dict | None = None,
     **kwargs,
@@ -87,7 +87,6 @@ def replay(
         build_uniform_system(seed, **(system_overrides or {})),
         slo_seconds=60.0,
         pool_config=PoolConfig(max_vms=256, max_sls=256),
-        engine=engine,
         keep_queries=keep_queries,
         decision_reuse=decision_reuse,
         **kwargs,
@@ -96,7 +95,7 @@ def replay(
 
 
 def report_signature(report) -> dict:
-    """Engine-independent fields (measured wall-clock timings excluded:
+    """Simulated report fields (measured wall-clock timings excluded:
     ``inference_seconds`` is host time, not simulated time)."""
     return {
         "n_queries": report.n_queries,
@@ -114,60 +113,36 @@ def report_signature(report) -> dict:
     }
 
 
-def served_signature(query) -> tuple:
-    return (
-        query.arrival_s,
-        query.tenant,
-        query.waiting_apps_at_submit,
-        query.queueing_delay_s,
-        query.decision_batch_size,
-        query.batching_delay_s,
-        query.admission_delay_s,
-        query.quota_delay_s,
-        query.outcome.decision.config,
-        query.outcome.cost_dollars,
-        query.latency_s,
-    )
-
-
 class TestEngineEquivalence:
-    """Columnar drain == per-arrival events, decision for decision."""
+    """The drain reproduces the event drain's pinned reports.
+
+    Every scenario replays with decision reuse off -- the paper's
+    per-query sizing -- and must match its digest field for field.
+    """
 
     def test_reports_and_queries_match(self):
         trace = make_trace()
-        event = replay("event", trace)
-        columnar = replay("columnar", trace, decision_reuse=False)
-        assert report_digest(event) == GOLDENS["plain"]
-        assert report_signature(event) == report_signature(columnar)
-        assert len(event.served) == len(columnar.served) == len(trace)
-        for a, b in zip(event.served, columnar.served):
-            assert served_signature(a) == served_signature(b)
+        report = replay(trace, decision_reuse=False)
+        assert len(report.served) == len(trace)
+        assert report_digest(report) == GOLDENS["plain"]
 
     def test_trace_representation_is_irrelevant(self):
-        trace = make_trace()
-        from_events = replay("columnar", trace, decision_reuse=False)
-        from_columns = replay(
-            "columnar", ColumnarTrace.from_trace(trace), decision_reuse=False
+        report = replay(
+            ColumnarTrace.from_trace(make_trace()), decision_reuse=False
         )
-        assert report_signature(from_events) == report_signature(from_columns)
+        assert report_digest(report) == GOLDENS["plain"]
 
     def test_batch_window_groups_match(self):
         trace = make_trace(n_minutes=6.0)
-        event = replay("event", trace, batch_window_s=5.0)
-        columnar = replay(
-            "columnar", trace, decision_reuse=False, batch_window_s=5.0
-        )
-        assert event.batched_decision_rate > 0.0
-        assert report_digest(event) == GOLDENS["window"]
-        assert report_signature(event) == report_signature(columnar)
+        report = replay(trace, decision_reuse=False, batch_window_s=5.0)
+        assert report.batched_decision_rate > 0.0
+        assert report_digest(report) == GOLDENS["window"]
 
     def test_adaptive_window_groups_match(self):
-        # The adaptive ("auto") path now drains columnarly too: the
-        # columnar engine feeds the tuner arrival by arrival, so group
-        # boundaries -- which depend on the tuner's evolving state --
-        # match the event engine's.  A fixed-window tuner keeps the
-        # comparison deterministic (the real auto-tuner mixes measured
-        # wall-clock decision latency into its window).
+        # The adaptive drain feeds the tuner arrival by arrival, so
+        # group boundaries follow its evolving state.  A fixed-window
+        # tuner keeps the replay deterministic (the real auto-tuner
+        # mixes measured wall-clock decision latency into its window).
         from repro.core.forecast import AdaptiveBatchWindow
 
         class _FixedWindow(AdaptiveBatchWindow):
@@ -178,85 +153,55 @@ class TestEngineEquivalence:
             def window(self) -> float:
                 return self._window_s
 
-        trace = make_trace(n_minutes=6.0)
-        event = replay(
-            "event", trace, batch_window_s=_FixedWindow(5.0)
-        )
-        columnar = replay(
-            "columnar",
-            trace,
+        report = replay(
+            make_trace(n_minutes=6.0),
             decision_reuse=False,
             batch_window_s=_FixedWindow(5.0),
         )
-        assert event.batched_decision_rate > 0.0
-        assert report_digest(event) == GOLDENS["tuner"]
-        assert report_signature(event) == report_signature(columnar)
-        for a, b in zip(event.served, columnar.served):
-            assert served_signature(a) == served_signature(b)
-
-    def test_unknown_engine_rejected(self):
-        with pytest.raises(ValueError, match="engine"):
-            ServingSimulator(build_uniform_system(), engine="quantum")
+        assert report.batched_decision_rate > 0.0
+        assert report_digest(report) == GOLDENS["tuner"]
 
     def test_retrains_preserve_equivalence_and_invalidate_cache(self):
         # Default retrain trigger: the 16 GB inputs sit far from the
         # bootstrap profile, so this short trace retrains mid-replay.
-        # Both engines must agree through the model-version bumps, and
-        # the reuse cache (keyed by model version) must keep serving.
+        # The drain must match its pin through the model-version bumps,
+        # and the reuse cache (keyed by model version) must keep serving.
         trace = make_trace(n_minutes=1.5)
         # A small bootstrap grid keeps each retrain's forest fit cheap
         # (fit cost scales with the profiled training set) without
         # changing what is under test: version bumps mid-replay.
         overrides = {"error_difference_trigger": 50.0, "n_configs_per_query": 3}
-        event = replay("event", trace, system_overrides=overrides)
-        columnar = replay(
-            "columnar",
-            trace,
-            decision_reuse=False,
-            system_overrides=overrides,
+        report = replay(
+            trace, decision_reuse=False, system_overrides=overrides
         )
-        assert event.n_retrains > 0
-        assert report_digest(event) == GOLDENS["retrain"]
-        assert report_signature(event) == report_signature(columnar)
-        reused = replay(
-            "columnar", trace, decision_reuse=True, system_overrides=overrides
-        )
+        assert report.n_retrains > 0
+        assert report_digest(report) == GOLDENS["retrain"]
+        reused = replay(trace, system_overrides=overrides)
         assert reused.n_queries == len(trace)
         assert reused.n_retrains > 0
 
     def test_vector_submission_with_planner_matches(self):
-        # The pinned noise convention for compiled-plan submission is
-        # event+presample vs columnar+vector (both consume the duration
-        # rng stream identically).  A live planner adds epoch ticks and
-        # pre-boots to both engines; they must stay field-for-field
-        # equivalent, pre-warm ledger included.
+        # Presample and vector submission consume the duration rng
+        # stream identically.  A live planner adds epoch ticks and
+        # pre-boots; both must match the pin, pre-warm ledger included.
         trace = make_trace(n_minutes=8.0)
-        planner = FleetPlanner(
-            epoch_s=60.0, max_prewarm_vms=4, max_prewarm_sls=8
-        )
-        event = replay(
-            "event", trace, submission="presample", planner=planner
-        )
-        vector = replay(
-            "columnar",
-            trace,
-            decision_reuse=False,
-            submission="vector",
-            planner=planner,
-        )
-        assert event.epochs_planned > 0
-        assert event.pool_stats.prewarms > 0
-        assert report_digest(event) == GOLDENS["planner"]
-        assert report_signature(event) == report_signature(vector)
-        assert event.pool_stats == vector.pool_stats
-        assert event.prewarm_cost_dollars == vector.prewarm_cost_dollars
-        for a, b in zip(event.served, vector.served):
-            assert served_signature(a) == served_signature(b)
+        for submission in ("presample", "vector"):
+            report = replay(
+                trace,
+                decision_reuse=False,
+                submission=submission,
+                planner=FleetPlanner(
+                    epoch_s=60.0, max_prewarm_vms=4, max_prewarm_sls=8
+                ),
+            )
+            assert report.epochs_planned > 0
+            assert report.pool_stats.prewarms > 0
+            assert report_digest(report) == GOLDENS["planner"]
 
     def test_decision_reuse_skips_forest_passes(self):
         trace = make_trace()
-        cold = replay("columnar", trace, decision_reuse=False)
-        reused = replay("columnar", trace, decision_reuse=True)
+        cold = replay(trace, decision_reuse=False)
+        reused = replay(trace)
         assert reused.n_queries == cold.n_queries
         # Reused decisions carry inference_seconds=0, so the total is
         # well below the every-arrival-decides baseline.
@@ -280,16 +225,18 @@ class TestReplayMemory:
     """
 
     @pytest.mark.parametrize(
-        "engine, submission, contended",
+        "submission, decision_reuse, contended",
         [
-            pytest.param("event", "object", False, id="event-object"),
-            pytest.param("columnar", "vector", False, id="columnar-vector"),
+            pytest.param("object", False, False, id="columnar-object"),
+            pytest.param("vector", True, False, id="columnar-vector"),
             pytest.param(
-                "columnar", "vector", True, id="columnar-vector-contended"
+                "vector", True, True, id="columnar-vector-contended"
             ),
         ],
     )
-    def test_replay_leaves_no_cycles(self, engine, submission, contended):
+    def test_replay_leaves_no_cycles(
+        self, submission, decision_reuse, contended
+    ):
         system = build_uniform_system()
         trace = make_trace(n_minutes=3.0)
         kwargs = {"pool_config": PoolConfig(max_vms=16, max_sls=16)}
@@ -310,7 +257,10 @@ class TestReplayMemory:
         gc.disable()
         try:
             ServingSimulator(
-                system, engine=engine, submission=submission, **kwargs
+                system,
+                submission=submission,
+                decision_reuse=decision_reuse,
+                **kwargs,
             ).replay(trace)
             gc.set_debug(gc.DEBUG_SAVEALL)
             gc.collect()
@@ -327,8 +277,8 @@ class TestStreamingReports:
 
     def test_shared_fields_equal(self):
         trace = make_trace()
-        kept = replay("columnar", trace, keep_queries=True)
-        streamed = replay("columnar", trace, keep_queries=False)
+        kept = replay(trace, keep_queries=True)
+        streamed = replay(trace, keep_queries=False)
         assert streamed.is_streaming and not kept.is_streaming
         assert not streamed.served
         kept_sig, streamed_sig = report_signature(kept), report_signature(
@@ -358,7 +308,7 @@ class TestStreamingReports:
         ) <= streamed.total_decision_seconds
 
     def test_array_accessors_refuse(self):
-        streamed = replay("columnar", make_trace(3.0), keep_queries=False)
+        streamed = replay(make_trace(3.0), keep_queries=False)
         for accessor in (
             "latencies",
             "queueing_delays",
@@ -370,14 +320,14 @@ class TestStreamingReports:
                 getattr(streamed, accessor)
 
     def test_summary_has_time_ledger(self):
-        report = replay("columnar", make_trace(3.0), keep_queries=False)
+        report = replay(make_trace(3.0), keep_queries=False)
         summary = report.summary()
         assert "instance-s" in summary and "idle" in summary
 
     def test_merge_streaming_reports(self):
         trace = make_trace(4.0)
-        left = replay("columnar", trace, keep_queries=False)
-        right = replay("columnar", make_trace(4.0, rng=9), keep_queries=False)
+        left = replay(trace, keep_queries=False)
+        right = replay(make_trace(4.0, rng=9), keep_queries=False)
         merged = left.merge(right)
         assert merged.n_queries == left.n_queries + right.n_queries
         assert merged.query_cost_dollars == pytest.approx(
@@ -408,10 +358,8 @@ class TestStreamingReports:
         planner = FleetPlanner(
             epoch_s=60.0, max_prewarm_vms=4, max_prewarm_sls=8
         )
-        kept = replay("columnar", trace, keep_queries=True, planner=planner)
-        streamed = replay(
-            "columnar", trace, keep_queries=False, planner=planner
-        )
+        kept = replay(trace, keep_queries=True, planner=planner)
+        streamed = replay(trace, keep_queries=False, planner=planner)
         assert kept.epochs_planned > 0
         assert streamed.epochs_planned == kept.epochs_planned
         assert streamed.pool_stats.prewarms == kept.pool_stats.prewarms
@@ -472,7 +420,6 @@ class TestScaleScenario:
             slo_seconds=120.0,
             pool_config=PoolConfig(max_vms=2048, max_sls=2048),
             autoscaler=FixedKeepAlive(30.0, 7.5),
-            engine="columnar",
             keep_queries=False,
         )
         # knob=0.3 (the Eq. 4 cost knob) sizes these short single-stage

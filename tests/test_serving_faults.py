@@ -327,6 +327,7 @@ def _faulty_replay(**overrides):
         pool_config=PoolConfig(max_vms=16, max_sls=16),
         fault_plan=FAULTY_PLAN,
         retry_policy=RETRIES,
+        decision_reuse=False,
     )
     kwargs.update(overrides)
     sim = ServingSimulator(build_small_system(), **kwargs)
@@ -410,6 +411,7 @@ class TestServingFaults:
             pool_config=PoolConfig(max_vms=16, max_sls=16),
             tenants=registry,
             max_pending_admission=0,
+            decision_reuse=False,
         )
         trace = build_bursty_trace(3, spacing_s=1.0)
         with pytest.warns(RuntimeWarning, match="shed"):
@@ -507,6 +509,7 @@ class TestLateJoiners:
             pool_config=PoolConfig(max_vms=32, max_sls=32),
             tenants=registry,
             batch_window_s=_FixedWindow(15.0),
+            decision_reuse=False,
         ).replay_multi(traces)
 
         by_arrival = {
@@ -546,6 +549,7 @@ class TestLateJoiners:
             retry_policy=RetryPolicy(max_retries=6, backoff_base_s=19.7,
                                      backoff_factor=1.0, jitter=0.0),
             batch_window_s=_FixedWindow(15.0),
+            decision_reuse=False,
         ).replay(trace)
 
         by_arrival = {q.arrival_s: q for q in report.served}
@@ -630,6 +634,7 @@ class TestNoQueryLost:
                 max_retries=scenario["max_retries"], backoff_base_s=3.0
             ),
             max_pending_admission=scenario["shed_cap"],
+            decision_reuse=False,
         )
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
@@ -685,10 +690,10 @@ class TestNoQueryLost:
 
 
 def _replay_signature(report) -> dict:
-    """Every engine-independent field of a replay, reliability included.
+    """Every simulated field of a replay, reliability included.
 
     Measured wall-clock decision timings are excluded (host time, not
-    simulated time), matching the engine-equivalence pin.
+    simulated time), matching the report digests.
     """
     stream = report.stream
     signature = {
@@ -761,17 +766,18 @@ def _dropped_fields(drop) -> tuple:
 
 
 class TestVectorizedSubmissionEquivalence:
-    """Compiled-plan vector submission == event engine, faults included.
+    """Compiled-plan vector submission == presample, faults included.
 
     Reuses the no-query-lost strategy: arbitrary multi-tenant traces
     with fault plans, retries, admission shedding and coalescing
-    windows.  The pinned pair is event+presample vs columnar+vector --
-    the locked noise convention under which both engines consume the
-    duration-model rng stream identically -- compared field for field
-    down to the per-query and per-drop records.
+    windows.  Presample and vector submission consume the duration-model
+    rng stream identically, so they are compared field for field down
+    to the per-query and per-drop records; three fixed scenarios are
+    also pinned by digest to the replays the per-arrival event drain
+    produced.
     """
 
-    def _replay(self, scenario, engine: str, submission: str):
+    def _replay(self, scenario, submission: str):
         tenants = [TenantSpec("t", max_in_flight=2)]
         traces = {
             "t": build_bursty_trace(
@@ -799,7 +805,6 @@ class TestVectorizedSubmissionEquivalence:
             system,
             pool_config=PoolConfig(max_vms=12, max_sls=12),
             tenants=registry,
-            engine=engine,
             submission=submission,
             decision_reuse=False,
             batch_window_s=scenario["window"],
@@ -825,23 +830,21 @@ class TestVectorizedSubmissionEquivalence:
     def test_pinned_fault_scenarios_match_golden(self, name):
         scenario = PINNED_FAULT_SCENARIOS[name]
         golden = DRAIN_GOLDENS["serving_faults"][name]
-        for engine, submission in (
-            ("event", "presample"), ("columnar", "vector")
-        ):
-            report = self._replay(scenario, engine, submission)
+        for submission in ("presample", "vector"):
+            report = self._replay(scenario, submission)
             assert report_digest(report) == golden
 
     @given(scenario=_fault_scenarios())
     @REPLAY_SETTINGS
-    def test_vector_replay_matches_event_engine(self, scenario):
-        event = self._replay(scenario, "event", "presample")
-        vector = self._replay(scenario, "columnar", "vector")
-        assert _replay_signature(event) == _replay_signature(vector)
-        assert len(event.served) == len(vector.served)
-        for a, b in zip(event.served, vector.served):
+    def test_vector_replay_matches_presample(self, scenario):
+        presample = self._replay(scenario, "presample")
+        vector = self._replay(scenario, "vector")
+        assert _replay_signature(presample) == _replay_signature(vector)
+        assert len(presample.served) == len(vector.served)
+        for a, b in zip(presample.served, vector.served):
             assert _served_fields(a) == _served_fields(b)
-        assert len(event.dropped) == len(vector.dropped)
-        for a, b in zip(event.dropped, vector.dropped):
+        assert len(presample.dropped) == len(vector.dropped)
+        for a, b in zip(presample.dropped, vector.dropped):
             assert _dropped_fields(a) == _dropped_fields(b)
 
 
@@ -875,11 +878,11 @@ class TestLazyPlanCounters:
     before it.  Every instance must end with bitwise the counters that
     marking each task at its start gives -- the :class:`_EagerMarks`
     reference and, where no kill lands exactly on a task start, the
-    event engine under the presample convention -- through revocations,
+    per-task scheduler of presample submission -- through revocations,
     retries, stragglers and single-wave grants alike.
     """
 
-    def _counters(self, seed: int, engine: str, submission: str, plan):
+    def _counters(self, seed: int, submission: str, plan):
         created = []
 
         def recording(cls):
@@ -898,7 +901,6 @@ class TestLazyPlanCounters:
         simulator = ServingSimulator(
             system,
             pool_config=PoolConfig(max_vms=12, max_sls=12),
-            engine=engine,
             submission=submission,
             decision_reuse=False,
             fault_plan=plan,
@@ -918,7 +920,7 @@ class TestLazyPlanCounters:
 
     def _eager(self, seed: int, plan):
         with mock.patch.object(serving_module, "PlanRunner", _EagerMarks):
-            return self._counters(seed, "columnar", "vector", plan)
+            return self._counters(seed, "vector", plan)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_counters_match_eager_marks_under_chaos(self, seed):
@@ -931,9 +933,9 @@ class TestLazyPlanCounters:
             straggler_rate=0.4,
             straggler_factor=2.0,
         )
-        lazy, _ = self._counters(seed, "columnar", "vector", plan)
+        lazy, _ = self._counters(seed, "vector", plan)
         assert lazy == self._eager(seed, plan)[0]
-        reference = self._counters(seed, "event", "presample", plan)[0]
+        reference = self._counters(seed, "presample", plan)[0]
         assert lazy == reference
         assert (
             hashlib.sha256(repr(reference).encode()).hexdigest()
@@ -944,13 +946,13 @@ class TestLazyPlanCounters:
         # A cold SL times out exactly when its boot completes, which is
         # when its first tasks start: the kill was armed at hand-over,
         # before the grant, so it fires first and those tasks never ran.
-        # (The event engine starts them first -- its boot event was
-        # scheduled before the kill -- so it is no reference here.)
+        # (The per-task scheduler starts them first -- its boot event
+        # was scheduled before the kill -- so it is no reference here.)
         plan = FaultPlan(
             seed=0,
             sl_timeout_rate=0.5,
             sl_timeout_s=get_provider("aws").sl_boot_seconds,
         )
-        lazy, stats = self._counters(0, "columnar", "vector", plan)
+        lazy, stats = self._counters(0, "vector", plan)
         assert stats.sl_timeouts > 0
         assert lazy == self._eager(0, plan)[0]

@@ -1,9 +1,12 @@
 """Tests for workload traces and trace-driven serving."""
 
+import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.cloud.pool import PoolConfig
-from repro.core.serving import ServingSimulator, _Arrival
+from repro.core.serving import ServingSimulator, _group_bounds
 from repro.workloads.trace import (
     PoissonTraceGenerator,
     TraceEvent,
@@ -19,6 +22,12 @@ def _generator(**overrides):
     )
     defaults.update(overrides)
     return PoissonTraceGenerator(**defaults)
+
+
+def per_query(system, **kwargs) -> ServingSimulator:
+    """A simulator with the paper's per-query sizing: every arrival is
+    decided with its own features, no class-level decision reuse."""
+    return ServingSimulator(system, decision_reuse=False, **kwargs)
 
 
 class TestTraceEvents:
@@ -107,7 +116,7 @@ class TestServingSimulator:
             TraceEvent(10.0, "tpcds-q82"),
             TraceEvent(600.0, "tpcds-q82"),
         ))
-        report = ServingSimulator(fresh_smartpick, slo_seconds=200.0).replay(trace)
+        report = per_query(fresh_smartpick, slo_seconds=200.0).replay(trace)
         assert report.n_queries == 3
         assert report.total_cost_dollars > 0
         assert 0.0 <= report.slo_attainment <= 1.0
@@ -126,7 +135,7 @@ class TestServingSimulator:
             TraceEvent(0.0, "tpcds-q82"),
             TraceEvent(1.0, "tpcds-q82"),
         ))
-        report = ServingSimulator(fresh_smartpick).replay(trace)
+        report = per_query(fresh_smartpick).replay(trace)
         assert report.served[0].waiting_apps_at_submit == 0
         assert report.served[1].waiting_apps_at_submit == 1
 
@@ -135,12 +144,12 @@ class TestServingSimulator:
             TraceEvent(0.0, "tpcds-q82"),
             TraceEvent(10_000.0, "tpcds-q82"),
         ))
-        report = ServingSimulator(fresh_smartpick).replay(trace)
+        report = per_query(fresh_smartpick).replay(trace)
         assert report.served[1].waiting_apps_at_submit == 0
 
     def test_alien_arrivals_reported(self, fresh_smartpick):
         trace = WorkloadTrace(events=(TraceEvent(0.0, "tpcds-q55"),))
-        report = ServingSimulator(fresh_smartpick).replay(trace)
+        report = per_query(fresh_smartpick).replay(trace)
         assert report.n_aliens == 1
 
     def test_untrained_system_rejected(self):
@@ -151,12 +160,12 @@ class TestServingSimulator:
 
     def test_summary_readable(self, fresh_smartpick):
         trace = WorkloadTrace(events=(TraceEvent(0.0, "tpcds-q82"),))
-        report = ServingSimulator(fresh_smartpick).replay(trace)
+        report = per_query(fresh_smartpick).replay(trace)
         assert "queries" in report.summary()
         assert "SLO" in report.summary()
 
     def test_empty_report_guards(self, fresh_smartpick):
-        report = ServingSimulator(fresh_smartpick).replay(
+        report = per_query(fresh_smartpick).replay(
             WorkloadTrace(events=())
         )
         assert report.n_queries == 0
@@ -167,7 +176,7 @@ class TestServingSimulator:
         # Regression: summary() used to raise on an empty replay and to
         # hide the keep-alive spend whenever no query was served -- an
         # idle day with warm instances still costs money.
-        report = ServingSimulator(fresh_smartpick).replay(
+        report = per_query(fresh_smartpick).replay(
             WorkloadTrace(events=())
         )
         text = report.summary()
@@ -197,7 +206,7 @@ class TestSharedClusterServing:
         reports = []
         for _ in range(2):
             system = small_system_factory(seed=77)
-            simulator = ServingSimulator(system, pool_config=config)
+            simulator = per_query(system, pool_config=config)
             reports.append(simulator.replay(trace))
         a, b = reports
         assert list(a.latencies) == list(b.latencies)
@@ -211,7 +220,7 @@ class TestSharedClusterServing:
     ):
         trace = bursty_trace_factory(6, spacing_s=5.0)
         system = small_system_factory()
-        warm = ServingSimulator(
+        warm = per_query(
             system,
             pool_config=PoolConfig(
                 max_vms=16, max_sls=16,
@@ -226,7 +235,7 @@ class TestSharedClusterServing:
         self, fresh_smartpick, bursty_trace_factory
     ):
         trace = bursty_trace_factory(4, spacing_s=5.0)
-        report = ServingSimulator(fresh_smartpick).replay(trace)
+        report = per_query(fresh_smartpick).replay(trace)
         assert report.warm_start_rate == 0.0
         assert report.pool_stats.cold_starts > 0
         assert report.keepalive_cost_dollars == 0.0
@@ -235,11 +244,11 @@ class TestSharedClusterServing:
         self, small_system_factory, bursty_trace_factory
     ):
         trace = bursty_trace_factory(6, spacing_s=2.0)
-        wide = ServingSimulator(
+        wide = per_query(
             small_system_factory(seed=91),
             pool_config=PoolConfig(max_vms=64, max_sls=64),
         ).replay(trace)
-        tight = ServingSimulator(
+        tight = per_query(
             small_system_factory(seed=91),
             pool_config=PoolConfig(max_vms=2, max_sls=2),
         ).replay(trace)
@@ -256,7 +265,7 @@ class TestSharedClusterServing:
         self, small_system_factory, bursty_trace_factory
     ):
         trace = bursty_trace_factory(3, spacing_s=1.0)
-        report = ServingSimulator(small_system_factory(seed=55)).replay(trace)
+        report = per_query(small_system_factory(seed=55)).replay(trace)
         waits = [s.waiting_apps_at_submit for s in report.served]
         assert waits == [0, 1, 2]
 
@@ -264,7 +273,7 @@ class TestSharedClusterServing:
         self, small_system_factory, bursty_trace_factory
     ):
         trace = bursty_trace_factory(3, spacing_s=5.0)
-        report = ServingSimulator(
+        report = per_query(
             small_system_factory(seed=58),
             pool_config=PoolConfig(
                 max_vms=16, max_sls=16, vm_keep_alive_s=300.0
@@ -288,7 +297,7 @@ class TestArrivalCoalescer:
     def test_exact_tick_arrivals_share_one_sizing_pass(
         self, small_system_factory
     ):
-        report = ServingSimulator(small_system_factory()).replay(
+        report = per_query(small_system_factory()).replay(
             _same_tick_trace()
         )
         assert [s.decision_batch_size for s in report.served] == [3, 3, 3, 1]
@@ -303,7 +312,7 @@ class TestArrivalCoalescer:
         self, small_system_factory, monkeypatch
     ):
         system = small_system_factory()
-        simulator = ServingSimulator(system)
+        simulator = per_query(system)
 
         def explode(*args, **kwargs):  # pragma: no cover - guard
             raise AssertionError("solo decide called for a batched group")
@@ -325,7 +334,7 @@ class TestArrivalCoalescer:
         self, small_system_factory, monkeypatch
     ):
         system = small_system_factory()
-        simulator = ServingSimulator(system)  # default window: exact tick
+        simulator = per_query(system)  # default window: exact tick
 
         def explode(*args, **kwargs):  # pragma: no cover - guard
             raise AssertionError("decide_many called without coalescing")
@@ -344,10 +353,10 @@ class TestArrivalCoalescer:
         # Acceptance: at batch_window_s=0 with no same-tick arrivals the
         # replay is identical to the unbatched (window=None) replay.
         trace = bursty_trace_factory(5, spacing_s=45.0)
-        unbatched = ServingSimulator(
+        unbatched = per_query(
             small_system_factory(seed=77), batch_window_s=None
         ).replay(trace)
-        exact_tick = ServingSimulator(
+        exact_tick = per_query(
             small_system_factory(seed=77), batch_window_s=0.0
         ).replay(trace)
         assert list(unbatched.latencies) == list(exact_tick.latencies)
@@ -366,7 +375,7 @@ class TestArrivalCoalescer:
             TraceEvent(3.0, "tpcds-q82"),
             TraceEvent(30.0, "tpcds-q82"),
         ))
-        report = ServingSimulator(
+        report = per_query(
             small_system_factory(seed=81), batch_window_s=4.0
         ).replay(trace)
         assert [s.decision_batch_size for s in report.served] == [3, 3, 3, 1]
@@ -380,25 +389,15 @@ class TestArrivalCoalescer:
             + first.outcome.actual_seconds
         )
 
-    def test_window_anchored_at_first_member(self, small_system_factory):
+    def test_window_anchored_at_first_member(self):
         # 0, 4, 8, 12 with a 5s window: groups must not chain unboundedly.
-        trace = WorkloadTrace(events=tuple(
-            TraceEvent(4.0 * i, "tpcds-q82") for i in range(4)
-        ))
-        simulator = ServingSimulator(
-            small_system_factory(seed=82), batch_window_s=5.0
-        )
-        stream = [
-            _Arrival(index, "default", event)
-            for index, event in enumerate(trace)
-        ]
-        groups = simulator._coalesce(stream)
-        assert [len(group) for group in groups] == [2, 2]
+        times = np.array([0.0, 4.0, 8.0, 12.0])
+        assert list(_group_bounds(times, 5.0)) == [(0, 2), (2, 4)]
 
     def test_amortised_decision_latency_sums_to_batch_time(
         self, small_system_factory
     ):
-        report = ServingSimulator(small_system_factory(seed=84)).replay(
+        report = per_query(small_system_factory(seed=84)).replay(
             _same_tick_trace()
         )
         batched = [s for s in report.served if s.decision_batch_size == 3]
@@ -409,3 +408,79 @@ class TestArrivalCoalescer:
     def test_negative_window_rejected(self, small_system_factory):
         with pytest.raises(ValueError):
             ServingSimulator(small_system_factory(seed=85), batch_window_s=-1.0)
+
+
+def _coalesce(times: list[float], window: float | None) -> list[tuple]:
+    """Reference grouping, one arrival at a time: join the open group
+    while within ``window`` of its *first* member, else open a new one.
+
+    This is the per-arrival coalescer the replay ran before it drained
+    arrival columns; :func:`_group_bounds` must reproduce it exactly.
+    """
+    groups: list[list[int]] = []
+    for position, time in enumerate(times):
+        if (
+            window is not None
+            and groups
+            and time - times[groups[-1][0]] <= window
+        ):
+            groups[-1].append(position)
+        else:
+            groups.append([position])
+    return [(group[0], group[-1] + 1) for group in groups]
+
+
+#: Sorted arrival times: spread out, or drawn from a few values so equal
+#: timestamps are common.
+_ARRIVAL_TIMES = st.one_of(
+    st.lists(
+        st.floats(0.0, 1e4, allow_nan=False), max_size=40
+    ).map(sorted),
+    st.lists(
+        st.sampled_from([0.0, 0.1, 0.3, 2.5, 7.0]), max_size=40
+    ).map(sorted),
+)
+_WINDOWS = st.one_of(
+    st.none(), st.just(0.0), st.floats(0.0, 50.0, allow_nan=False)
+)
+
+
+class TestGroupBounds:
+    """The replay's sizing groups follow the windowing rule."""
+
+    @given(times=_ARRIVAL_TIMES, window=_WINDOWS)
+    def test_matches_reference_coalescer(self, times, window):
+        bounds = list(_group_bounds(np.array(times, dtype=float), window))
+        assert bounds == _coalesce(times, window)
+
+    @given(times=_ARRIVAL_TIMES, window=_WINDOWS)
+    def test_groups_partition_and_anchor_at_first_member(
+        self, times, window
+    ):
+        bounds = list(_group_bounds(np.array(times, dtype=float), window))
+        # Contiguous runs covering every arrival once.
+        starts = [start for start, _ in bounds]
+        ends = [end for _, end in bounds]
+        assert starts == [0] + ends[:-1] if times else bounds == []
+        assert ends[-1:] == ([len(times)] if times else [])
+        for start, end in bounds:
+            if window is None:
+                assert end - start == 1
+                continue
+            # Every member sits within the window of the first; the
+            # next arrival would not.
+            assert times[end - 1] - times[start] <= window
+            if end < len(times):
+                assert times[end] - times[start] > window
+
+    def test_zero_window_groups_exact_ties_only(self):
+        times = np.array([1.0, 1.0, 1.5, 2.0, 2.0, 2.0])
+        assert list(_group_bounds(times, 0.0)) == [(0, 2), (2, 3), (3, 6)]
+
+    def test_none_makes_every_arrival_solo(self):
+        times = np.array([3.0, 3.0, 3.0])
+        assert list(_group_bounds(times, None)) == [(0, 1), (1, 2), (2, 3)]
+
+    @pytest.mark.parametrize("window", [None, 0.0, 5.0])
+    def test_empty_input_has_no_groups(self, window):
+        assert list(_group_bounds(np.array([]), window)) == []
