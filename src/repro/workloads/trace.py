@@ -104,7 +104,7 @@ class ColumnarTrace:
     :class:`TraceEvent` object per arrival -- tens of bytes per arrival
     instead of hundreds, and O(1) Python objects regardless of length.
     :meth:`ServingSimulator.replay <repro.core.serving.ServingSimulator>`
-    accepts either form and drains this one without building events.
+    accepts either form and drains this one directly.
     """
 
     arrival_s: np.ndarray

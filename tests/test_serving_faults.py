@@ -827,7 +827,7 @@ class TestVectorizedSubmissionEquivalence:
             return simulator.replay_multi(traces)
 
     @pytest.mark.parametrize("name", sorted(PINNED_FAULT_SCENARIOS))
-    def test_pinned_fault_scenarios_match_golden(self, name):
+    def test_pinned_digest(self, name):
         scenario = PINNED_FAULT_SCENARIOS[name]
         golden = DRAIN_GOLDENS["serving_faults"][name]
         for submission in ("presample", "vector"):
