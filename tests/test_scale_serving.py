@@ -1,6 +1,6 @@
 """Columnar replay drain + streaming reports: pinned reports and scale.
 
-Three layers pin the million-arrival serving stack:
+Four layers pin the million-arrival serving stack:
 
 - **Pinned reports**: with decision reuse off, the drain must reproduce
   field-wise digests recorded on the per-arrival event drain it
@@ -12,6 +12,9 @@ Three layers pin the million-arrival serving stack:
   the ``keep_queries=True`` report of the same replay, and the
   list-backed accessors must refuse loudly rather than silently return
   nothing.
+- **Kept reports stay exact**: with ``keep_queries=True`` every
+  percentile and count equals its value computed from the kept records,
+  past the default sketch capacity, per tenant slice and after a merge.
 - **A 50k-arrival multi-tenant scenario** replays a generated
   population trace through the columnar streaming path and asserts the
   same cross-cutting invariants the scenario matrix in
@@ -389,6 +392,101 @@ class TestStreamingReports:
         stream_b = ServingStream(120.0)
         with pytest.raises(ValueError):
             stream_a.merge(stream_b)
+
+
+#: Percentile accessors of a report and the per-query array each one
+#: summarises.
+_PERCENTILE_ACCESSORS = (
+    ("latency_percentile", "latencies"),
+    ("queueing_delay_percentile", "queueing_delays"),
+    ("admission_delay_percentile", "admission_delays"),
+    ("quota_throttle_delay_percentile", "quota_throttle_delays"),
+    ("decision_latency_percentile", "decision_seconds"),
+)
+
+
+def kept_scale_replay(rng: int):
+    """A kept-records replay of 5,000 arrivals, past the 4,096-sample
+    default sketch, with admission and lease quotas, a per-tenant SLO,
+    coalesced sizing and retried (sometimes dropped) faults."""
+    pairs = make_scale_trace(
+        5_000,
+        duration_s=14_400.0,
+        query_classes=QUERIES,
+        input_gb_octaves=(8.0, 16.0),
+        n_tenants=3,
+        rng=rng,
+    )
+    registry = TenantRegistry([
+        TenantSpec("tenant-00", weight=1.0, max_in_flight=16),
+        TenantSpec("tenant-01", weight=2.0, max_leased_vms=32),
+        TenantSpec("tenant-02", weight=3.0, slo_latency_s=100.0),
+    ])
+    simulator = ServingSimulator(
+        build_uniform_system(
+            tenants=registry, n_configs_per_query=4
+        ),
+        slo_seconds=105.0,
+        pool_config=PoolConfig(max_vms=96, max_sls=192),
+        batch_window_s=5.0,
+        submission="vector",
+        keep_queries=True,
+        retry_policy=RetryPolicy(1, backoff_base_s=2.0),
+        fault_plan=make_chaos_plan("moderate", seed=3),
+    )
+    return simulator.replay_multi(pairs, knob=0.3, mode="hybrid")
+
+
+def assert_aggregates_match_records(report) -> None:
+    """Every aggregate equals its value computed from the kept records."""
+    for method, array in _PERCENTILE_ACCESSORS:
+        values = getattr(report, array)
+        for q in (0, 10, 50, 90, 99, 100):
+            assert getattr(report, method)(q) == float(
+                np.percentile(values, q)
+            ), (method, q)
+    assert report.slo_attainment == float(
+        np.mean(report.latencies <= report.slo_seconds)
+    )
+    assert report.n_aliens == sum(
+        1 for s in report.served if s.outcome.is_alien
+    )
+    assert report.n_retries_total == (
+        sum(s.n_retries for s in report.served)
+        + sum(d.n_retries for d in report.dropped)
+    )
+    assert report.batched_decision_rate == float(
+        np.mean([s.decision_batch_size >= 2 for s in report.served])
+    )
+
+
+class TestKeptReportsExact:
+    """A kept report's aggregates are exact at any replay length."""
+
+    @pytest.fixture(scope="class")
+    def reports(self):
+        return kept_scale_replay(rng=29), kept_scale_replay(rng=31)
+
+    def test_report(self, reports):
+        report, _ = reports
+        assert len(report.served) == report.n_queries > 4096
+        assert report.n_retries_total > 0 and report.dropped
+        assert report.batched_decision_rate > 0.0
+        assert_aggregates_match_records(report)
+
+    def test_tenant_slices(self, reports):
+        report, _ = reports
+        assert len(report.tenants) == 3
+        for tenant in report.tenants:
+            tenant_slice = report.for_tenant(tenant)
+            assert tenant_slice.n_queries > 0
+            assert_aggregates_match_records(tenant_slice)
+
+    def test_merge(self, reports):
+        left, right = reports
+        merged = left.merge(right)
+        assert len(merged.served) == left.n_queries + right.n_queries
+        assert_aggregates_match_records(merged)
 
 
 class TestScaleScenario:
