@@ -180,18 +180,50 @@ class DroppedQuery:
     wasted_cost_dollars: float = 0.0
 
 
-class ServingStream:
-    """Mergeable online accumulators over a replay's served queries.
+def _completion_row(
+    latency: float,
+    queueing_delay: float,
+    admission_delay: float,
+    quota_delay: float,
+    outcome: SubmissionOutcome,
+    batch_size: int,
+    n_retries: int,
+    wasted: float,
+) -> tuple:
+    """One completion as a :meth:`ServingStream.observe_columns` row.
 
-    The streaming counterpart of a :class:`ServingReport`'s per-query
-    list: O(sketch capacity) memory regardless of trace length.  Every
-    replay folds each completion into one of these (per tenant too, one
-    level deep); with ``keep_queries=False`` the stream is all the
-    report keeps.  Percentiles come from deterministic reservoir
-    sketches -- exact while a replay fits in the reservoir -- and cost /
-    decision-time totals from exactly-rounded online sums, so the
-    chargeback-conservation, Jain-index and time-ledger properties hold
-    against streaming reports unchanged.
+    Columns: latency, queueing delay, admission delay, quota-throttle
+    delay (admission + in-pool quota wait), decision inference seconds,
+    cost, then 0/1 batched / alien / retrain flags, retry count and
+    wasted cost.
+    """
+    return (
+        latency,
+        queueing_delay,
+        admission_delay,
+        admission_delay + quota_delay,
+        outcome.decision.inference_seconds,
+        outcome.cost_dollars,
+        1.0 if batch_size >= 2 else 0.0,
+        1.0 if outcome.is_alien else 0.0,
+        1.0 if outcome.retrain_event else 0.0,
+        float(n_retries),
+        wasted,
+    )
+
+
+class ServingStream:
+    """Mergeable online accumulators over a replay's completions.
+
+    Every :class:`ServingReport` aggregate -- counts, costs, SLO hits,
+    percentiles, per-tenant slices -- reads one of these; the per-query
+    ``served`` list is retention only.  Completions fold in as column
+    batches (:meth:`observe_columns`), drops one at a time
+    (:meth:`observe_drop`), and each tenant gets a sub-stream one level
+    deep.  Percentiles come from deterministic reservoir sketches, exact
+    while the stream fits the sketch capacity, and cost / decision-time
+    totals from exactly-rounded online sums, so the chargeback, Jain
+    index and time-ledger identities hold on every report.
     """
 
     __slots__ = (
@@ -256,51 +288,27 @@ class ServingStream:
         return stream
 
     def observe(self, query: ServedQuery) -> None:
-        """Fold one completion into the accumulators (and its tenant's)."""
-        self._observe_one(query)
-        if self.tenant_streams is not None:
-            self.ensure_tenant(query.tenant)._observe_one(query)
-
-    def _observe_one(self, query: ServedQuery) -> None:
-        latency = query.latency_s
-        self.n += 1
-        self.latency.observe(latency)
-        self.queueing.observe(query.queueing_delay_s)
-        self.admission.observe(query.admission_delay_s)
-        self.quota_throttle.observe(query.quota_throttle_delay_s)
-        self.decision.observe(query.outcome.decision.inference_seconds)
-        self.query_cost.add(query.outcome.cost_dollars)
-        self.decision_seconds_total.add(
-            query.outcome.decision.inference_seconds
+        """Fold one completion record: a one-row :meth:`observe_columns`."""
+        row = _completion_row(
+            query.latency_s, query.queueing_delay_s, query.admission_delay_s,
+            query.quota_delay_s, query.outcome, query.decision_batch_size,
+            query.n_retries, query.wasted_cost_dollars,
         )
-        if latency <= self.slo_seconds:
-            self.n_slo_hits += 1
-        if query.decision_batch_size >= 2:
-            self.n_batched += 1
-        if query.outcome.is_alien:
-            self.n_aliens += 1
-        if query.outcome.retrain_event:
-            self.n_retrains += 1
-        self.n_retries += query.n_retries
-        self.wasted_cost.add(query.wasted_cost_dollars)
+        self.observe_columns([query.tenant], np.array([row]))
 
     def observe_columns(
         self, tenants: list[str], rows: np.ndarray
     ) -> None:
-        """Fold a batch of completions, bitwise the per-record fold.
+        """Fold a batch of completions (the stream's only fold).
 
-        ``rows`` is one ``float64`` row per served query *in completion
-        order*, columns being exactly the numbers ``observe`` reads off
-        a :class:`ServedQuery`: latency, queueing delay, admission
-        delay, quota-throttle delay, decision inference seconds, cost,
-        then 0/1 batched / alien / retrain flags, retry count and
-        wasted cost.  The sketches consume each column through
+        ``rows`` holds one :func:`_completion_row` per completion *in
+        completion order*, ``tenants`` the matching tenant names.  The
+        sketches consume each column through
         :meth:`ReservoirQuantiles.observe_many
         <repro.analysis.sketches.ReservoirQuantiles.observe_many>` (rng
         draw sequence identical to scalar observes) and the sums are
-        order-independent, so stream state after the fold matches a
-        record-at-a-time replay exactly.  This is the
-        ``keep_queries=False`` fast path: no ``ServedQuery`` objects.
+        order-independent, so the stream's state does not depend on how
+        completions were batched.
         """
         self._observe_columns_one(rows)
         if self.tenant_streams is not None:
@@ -380,10 +388,18 @@ class ServingStream:
 
 @dataclasses.dataclass
 class ServingReport:
-    """Aggregate view of one trace replay."""
+    """Aggregate view of one trace replay.
+
+    Every aggregate reads :attr:`stream`; the per-query ``served`` and
+    ``dropped`` lists are retention only (``keep_queries``), read by the
+    per-query array accessors.
+    """
 
     served: list[ServedQuery]
     slo_seconds: float
+    #: The replay's accumulators over every completion and drop.  A
+    #: tenant slice carries its tenant's sub-stream.
+    stream: ServingStream
     pool_stats: PoolStats | None = None
     keepalive_cost_dollars: float = 0.0
     #: Idle warm spend per shard; the values sum to
@@ -403,8 +419,7 @@ class ServingReport:
     )
     #: Arrivals that never completed: dropped after exhausting their
     #: retry budget ("failed") or shed at the admission gate ("shed").
-    #: Empty outside fault injection, and empty in streaming mode (the
-    #: stream's counters carry the tally instead).
+    #: Retained like ``served`` (the stream's counters carry the tally).
     dropped: list[DroppedQuery] = dataclasses.field(default_factory=list)
     #: Spend forfeited to revoked leases (the pool's ``wasted_cost``
     #: ledger): partial work billed but thrown away when an instance
@@ -433,40 +448,25 @@ class ServingReport:
     #: replay-wide :attr:`slo_seconds`.  Empty when no tenant declares
     #: an SLO (the legacy behaviour, bit for bit).
     tenant_slos: dict[str, float] = dataclasses.field(default_factory=dict)
-    #: Streaming accumulators over the same completions.  Replays always
-    #: fill one; with ``keep_queries=False`` (million-arrival mode) the
-    #: per-query ``served`` list stays empty and every aggregate below
-    #: routes through the stream instead.  Reports built by hand from a
-    #: ``served`` list (no stream) behave exactly as before.
-    stream: ServingStream | None = None
-
-    @property
-    def is_streaming(self) -> bool:
-        """True when aggregates come from the stream, not ``served``.
-
-        An empty report (no completions at all) stays on the legacy
-        paths either way -- they already define the empty behaviour.
-        """
-        return (
-            self.stream is not None
-            and (self.stream.n + self.stream.n_failed + self.stream.n_shed) > 0
-            and not self.served
-            and not self.dropped
-        )
 
     def _require_queries(self, what: str) -> None:
-        if self.is_streaming:
+        if self.stream.n and not self.served:
             raise ValueError(
                 f"per-query {what} are not retained in streaming mode "
                 "(keep_queries=False); use the percentile/aggregate "
                 "accessors instead"
             )
 
+    def _percentile(
+        self, sketch: ReservoirQuantiles, percentile: float
+    ) -> float:
+        if not self.stream.n:
+            raise ValueError("the report is empty")
+        return sketch.percentile(percentile)
+
     @property
     def n_queries(self) -> int:
-        if self.is_streaming:
-            return self.stream.n
-        return len(self.served)
+        return self.stream.n
 
     @property
     def latencies(self) -> np.ndarray:
@@ -497,9 +497,7 @@ class ServingReport:
     @property
     def query_cost_dollars(self) -> float:
         """Sum of the per-query bills (excluding keep-alive spend)."""
-        if self.is_streaming:
-            return self.stream.query_cost.value
-        return float(sum(s.outcome.cost_dollars for s in self.served))
+        return self.stream.query_cost.value
 
     @property
     def total_cost_dollars(self) -> float:
@@ -517,16 +515,12 @@ class ServingReport:
     @property
     def n_failed(self) -> int:
         """Arrivals dropped after exhausting their retry budget."""
-        if self.is_streaming:
-            return self.stream.n_failed
-        return sum(1 for d in self.dropped if d.reason != "shed")
+        return self.stream.n_failed
 
     @property
     def n_shed(self) -> int:
         """Arrivals rejected at the admission gate under overload."""
-        if self.is_streaming:
-            return self.stream.n_shed
-        return sum(1 for d in self.dropped if d.reason == "shed")
+        return self.stream.n_shed
 
     @property
     def n_arrivals(self) -> int:
@@ -536,12 +530,7 @@ class ServingReport:
     @property
     def n_retries_total(self) -> int:
         """Resubmissions across all arrivals (served and dropped)."""
-        if self.is_streaming:
-            return self.stream.n_retries
-        return (
-            sum(s.n_retries for s in self.served)
-            + sum(d.n_retries for d in self.dropped)
-        )
+        return self.stream.n_retries
 
     @property
     def availability(self) -> float:
@@ -605,76 +594,44 @@ class ServingReport:
     @property
     def batched_decision_rate(self) -> float:
         """Fraction of queries sized through a shared forest pass."""
-        if self.is_streaming:
-            return self.stream.n_batched / self.stream.n
-        if not self.served:
+        if not self.stream.n:
             return 0.0
-        return float(
-            np.mean([s.decision_batch_size >= 2 for s in self.served])
-        )
+        return self.stream.n_batched / self.stream.n
 
     def decision_latency_percentile(self, percentile: float) -> float:
-        if self.is_streaming:
-            return self.stream.decision.percentile(percentile)
-        if not self.served:
-            raise ValueError("the report is empty")
-        return float(np.percentile(self.decision_seconds, percentile))
+        return self._percentile(self.stream.decision, percentile)
 
     @property
     def total_decision_seconds(self) -> float:
         """Cumulative time spent inside resource determination."""
-        if self.is_streaming:
-            return self.stream.decision_seconds_total.value
-        return float(self.decision_seconds.sum())
+        return self.stream.decision_seconds_total.value
 
     @property
     def n_aliens(self) -> int:
-        if self.is_streaming:
-            return self.stream.n_aliens
-        return sum(1 for s in self.served if s.outcome.is_alien)
+        return self.stream.n_aliens
 
     @property
     def n_retrains(self) -> int:
-        if self.is_streaming:
-            return self.stream.n_retrains
-        return sum(1 for s in self.served if s.outcome.retrain_event)
+        return self.stream.n_retrains
 
     def latency_percentile(self, percentile: float) -> float:
-        if self.is_streaming:
-            return self.stream.latency.percentile(percentile)
-        if not self.served:
-            raise ValueError("the report is empty")
-        return float(np.percentile(self.latencies, percentile))
+        return self._percentile(self.stream.latency, percentile)
 
     def queueing_delay_percentile(self, percentile: float) -> float:
-        if self.is_streaming:
-            return self.stream.queueing.percentile(percentile)
-        if not self.served:
-            raise ValueError("the report is empty")
-        return float(np.percentile(self.queueing_delays, percentile))
+        return self._percentile(self.stream.queueing, percentile)
 
     def admission_delay_percentile(self, percentile: float) -> float:
-        if self.is_streaming:
-            return self.stream.admission.percentile(percentile)
-        if not self.served:
-            raise ValueError("the report is empty")
-        return float(np.percentile(self.admission_delays, percentile))
+        return self._percentile(self.stream.admission, percentile)
 
     def quota_throttle_delay_percentile(self, percentile: float) -> float:
-        if self.is_streaming:
-            return self.stream.quota_throttle.percentile(percentile)
-        if not self.served:
-            raise ValueError("the report is empty")
-        return float(np.percentile(self.quota_throttle_delays, percentile))
+        return self._percentile(self.stream.quota_throttle, percentile)
 
     @property
     def slo_attainment(self) -> float:
         """Fraction of queries finishing within the SLO."""
-        if self.is_streaming:
-            return self.stream.n_slo_hits / self.stream.n
-        if not self.served:
+        if not self.stream.n:
             raise ValueError("the report is empty")
-        return float(np.mean(self.latencies <= self.slo_seconds))
+        return self.stream.n_slo_hits / self.stream.n
 
     # ------------------------------------------------------------------
     # Tenancy: slices, fairness, chargeback
@@ -688,13 +645,15 @@ class ServingReport:
         nothing); tenants only observed on queries follow.
         """
         ordered = dict.fromkeys(self.tenant_weights)
-        if self.is_streaming:
-            for tenant in self.stream.tenant_streams or ():
-                ordered.setdefault(tenant, None)
-        else:
-            for query in self.served:
-                ordered.setdefault(query.tenant, None)
+        for tenant in self._tenant_streams():
+            ordered.setdefault(tenant, None)
         return tuple(ordered)
+
+    def _tenant_streams(self) -> dict[str, ServingStream]:
+        """Each tenant's sub-stream; a tenant slice's is its own stream."""
+        if self.stream.tenant_streams is None:
+            return {tenant: self.stream for tenant in self.tenant_weights}
+        return self.stream.tenant_streams
 
     def for_tenant(self, tenant: str) -> "ServingReport":
         """This report restricted to one tenant's queries.
@@ -704,8 +663,8 @@ class ServingReport:
         replay-wide SLO otherwise; it carries the tenant's keep-alive
         chargeback share as its keep-alive cost (so the slice's
         ``total_cost_dollars`` is the tenant's bill), and drops the pool
-        stats, which are not attributable to a single tenant.  A
-        streaming report slices to the tenant's sub-stream.
+        stats, which are not attributable to a single tenant.  The slice
+        reads the tenant's sub-stream.
         """
         if tenant not in self.tenants:
             raise KeyError(f"unknown tenant {tenant!r}")
@@ -717,12 +676,10 @@ class ServingReport:
         in_flight_peaks = {}
         if tenant in self.tenant_in_flight_peaks:
             in_flight_peaks[tenant] = self.tenant_in_flight_peaks[tenant]
-        stream = None
-        if self.is_streaming:
-            stream = (self.stream.tenant_streams or {}).get(tenant)
-            if stream is None:
-                # Registered but never served: an empty slice.
-                stream = ServingStream(slice_slo, _track_tenants=False)
+        stream = self._tenant_streams().get(tenant)
+        if stream is None:
+            # Registered but never served: an empty slice.
+            stream = ServingStream(slice_slo, _track_tenants=False)
         return ServingReport(
             served=[s for s in self.served if s.tenant == tenant],
             slo_seconds=slice_slo,
@@ -781,19 +738,12 @@ class ServingReport:
         )
 
     def _tenant_query_costs(self) -> dict[str, float]:
-        costs = {tenant: 0.0 for tenant in self.tenants}
-        if self.is_streaming:
-            substreams = self.stream.tenant_streams
-            for tenant in costs:
-                if substreams is not None and tenant in substreams:
-                    costs[tenant] = substreams[tenant].query_cost.value
-                elif substreams is None and len(costs) == 1:
-                    # A tenant slice: the stream itself is the tenant's.
-                    costs[tenant] = self.stream.query_cost.value
-            return costs
-        for query in self.served:
-            costs[query.tenant] += query.outcome.cost_dollars
-        return costs
+        streams = self._tenant_streams()
+        return {
+            tenant: streams[tenant].query_cost.value if tenant in streams
+            else 0.0
+            for tenant in self.tenants
+        }
 
     def _tenant_wasted_costs(self) -> dict[str, float]:
         """Per-tenant forfeited spend (failed attempts' partial bills).
@@ -802,21 +752,12 @@ class ServingReport:
         lease belonged to one tenant's query, so that tenant's bill
         carries it directly.
         """
-        wasted = {tenant: 0.0 for tenant in self.tenants}
-        if self.is_streaming:
-            substreams = self.stream.tenant_streams
-            for tenant in wasted:
-                if substreams is not None and tenant in substreams:
-                    wasted[tenant] = substreams[tenant].wasted_cost.value
-                elif substreams is None and len(wasted) == 1:
-                    # A tenant slice: the stream itself is the tenant's.
-                    wasted[tenant] = self.stream.wasted_cost.value
-            return wasted
-        for query in self.served:
-            wasted[query.tenant] += query.wasted_cost_dollars
-        for drop in self.dropped:
-            wasted[drop.tenant] += drop.wasted_cost_dollars
-        return wasted
+        streams = self._tenant_streams()
+        return {
+            tenant: streams[tenant].wasted_cost.value if tenant in streams
+            else 0.0
+            for tenant in self.tenants
+        }
 
     def keepalive_shares(self) -> dict[str, float]:
         """Keep-alive spend apportioned pro rata to per-tenant query cost.
@@ -870,18 +811,12 @@ class ServingReport:
         costs = self._tenant_query_costs()
         shares = self._keepalive_shares(costs)
         bills = self._bills(costs, shares)
-        if self.is_streaming:
-            counts = {
-                tenant: stream.n
-                for tenant, stream in (self.stream.tenant_streams or {}).items()
-            }
-        else:
-            counts = collections.Counter(s.tenant for s in self.served)
+        streams = self._tenant_streams()
         rows = []
         for tenant in self.tenants:
             rows.append((
                 tenant,
-                counts.get(tenant, 0),
+                streams[tenant].n if tenant in streams else 0,
                 100.0 * costs.get(tenant, 0.0),
                 100.0 * shares.get(tenant, 0.0),
                 100.0 * bills.get(tenant, 0.0),
@@ -953,12 +888,13 @@ class ServingReport:
     def merge(self, other: "ServingReport") -> "ServingReport":
         """Combine two replay segments' reports into one.
 
-        Streams merge via their sketches, per-query lists concatenate
-        when both sides kept them (otherwise the merged report is
-        streaming-only), pool stats add counter-wise (peaks take the
-        max), and keep-alive / weight / peak tables combine key-wise.
-        Both sides must agree on the SLO and on the weight of any tenant
-        they share.
+        Streams merge via their sketches.  Per-query lists concatenate
+        when both sides kept them, and the merged sketches then hold
+        both sides' capacity, so kept percentiles stay exact; otherwise
+        the merged report keeps no records.  Pool stats add
+        counter-wise (peaks take the max), and keep-alive / weight /
+        peak tables combine key-wise.  Both sides must agree on the SLO
+        and on the weight of any tenant they share.
         """
         if other.slo_seconds != self.slo_seconds:
             raise ValueError("cannot merge reports with different SLOs")
@@ -972,21 +908,21 @@ class ServingReport:
                 raise ValueError(
                     f"tenant {tenant!r} has conflicting SLOs"
                 )
-        if self.stream is None or other.stream is None:
-            raise ValueError(
-                "merge requires replay-produced reports (with streams)"
-            )
+        kept = bool(self.served and other.served)
+        capacity = self.stream.latency.capacity
+        if kept:
+            capacity += other.stream.latency.capacity
         tenant_slos = {**self.tenant_slos, **other.tenant_slos}
         stream = ServingStream(
             self.slo_seconds,
-            sketch_capacity=self.stream.latency.capacity,
+            sketch_capacity=capacity,
             tenant_slos=tenant_slos,
         )
         stream.merge(self.stream)
         stream.merge(other.stream)
         served: list[ServedQuery] = []
         dropped: list[DroppedQuery] = []
-        if self.served and other.served:
+        if kept:
             served = [*self.served, *other.served]
             dropped = [*self.dropped, *other.dropped]
         keepalive_by_shard = dict(self.keepalive_cost_by_shard)
@@ -1082,19 +1018,17 @@ class _ArrivalState:
 class _CompletionTable:
     """Flat completion/failure dispatch for every in-flight arrival.
 
-    Replaces the per-launch ``complete``/``failed`` closure pair the
-    replay loop used to allocate: launching registers one tuple of
-    decision context keyed by arrival index, and two shared handlers
-    look it up when the engine fires.  The table also owns the
-    in-flight counters the closures used to mutate through ``nonlocal``.
+    Launching registers one tuple of decision context keyed by arrival
+    index; two shared handlers look it up when the engine fires.  The
+    table also owns the replay's in-flight counters.
 
-    With ``keep_queries=False`` (``served is None``) completions do not
-    build :class:`ServedQuery` objects at all: each buffers one column
-    row and the buffer flushes through
-    :meth:`ServingStream.observe_columns` -- bitwise the scalar fold --
-    every :data:`_FLUSH_EVERY` completions and once at replay end.
-    Drops keep feeding the stream immediately; they only touch counters
-    and an order-independent exact sum, so interleaving is immaterial.
+    Every completion buffers one :func:`_completion_row`, and the buffer
+    flushes through :meth:`ServingStream.observe_columns` every
+    :data:`_FLUSH_EVERY` completions and once at replay end.  With
+    ``keep_queries=True`` (``served`` is a list) each completion also
+    builds its :class:`ServedQuery` record.  Drops feed the stream
+    immediately; they only touch counters and an order-independent
+    exact sum, so interleaving is immaterial.
     """
 
     _FLUSH_EVERY = 4096
@@ -1191,34 +1125,24 @@ class _CompletionTable:
             result, "wasted_cost_dollars", 0.0
         )
         retry_delay = st.retry_delay if st is not None else 0.0
-        if self.served is None:
-            # Same term order as ServedQuery.latency_s, so the buffered
-            # value is bit-identical to the record path's.
-            latency = (
-                admission_delay
-                + batching_delay
-                + retry_delay
-                + result.queueing_delay_s
-                + outcome.actual_seconds
-            )
-            self._rows.append((
-                latency,
-                result.queueing_delay_s,
-                admission_delay,
-                admission_delay + result.quota_delay_s,
-                outcome.decision.inference_seconds,
-                outcome.cost_dollars,
-                1.0 if batch_size >= 2 else 0.0,
-                1.0 if outcome.is_alien else 0.0,
-                1.0 if outcome.retrain_event else 0.0,
-                float(n_retries),
-                wasted,
-            ))
-            self._row_tenants.append(arrival.tenant)
-            if len(self._rows) >= self._FLUSH_EVERY:
-                self.flush()
-        else:
-            record = ServedQuery(
+        # Same term order as ServedQuery.latency_s, so the buffered
+        # value is bit-identical to the record's.
+        latency = (
+            admission_delay
+            + batching_delay
+            + retry_delay
+            + result.queueing_delay_s
+            + outcome.actual_seconds
+        )
+        self._rows.append(_completion_row(
+            latency, result.queueing_delay_s, admission_delay,
+            result.quota_delay_s, outcome, batch_size, n_retries, wasted,
+        ))
+        self._row_tenants.append(arrival.tenant)
+        if len(self._rows) >= self._FLUSH_EVERY:
+            self.flush()
+        if self.served is not None:
+            self.served[arrival.index] = ServedQuery(
                 arrival_s=arrival.event.arrival_s,
                 outcome=outcome,
                 waiting_apps_at_submit=waiting,
@@ -1232,8 +1156,6 @@ class _CompletionTable:
                 wasted_cost_dollars=wasted,
                 retry_delay_s=retry_delay,
             )
-            self.stream.observe(record)
-            self.served[arrival.index] = record
         self.n_terminated += 1
         self.admit_next(arrival.tenant)
 
@@ -1376,11 +1298,13 @@ class ServingSimulator:
         when queries never overlap -- pin ``"vector"`` against
         ``"presample"``.
     keep_queries:
-        ``True`` (default) retains the full per-query ``served`` list --
-        field-for-field today's report.  ``False`` folds every
-        completion into the report's :class:`ServingStream` only, so
-        replay memory stays O(sketch capacity) instead of O(arrivals):
-        the million-arrival mode.  Both modes fill the stream.
+        Whether the report retains its per-query ``served`` and
+        ``dropped`` records (default ``True``).  Every aggregate comes
+        from the report's :class:`ServingStream` either way.  A kept
+        replay sizes the stream's sketches to the trace, so its
+        percentiles are exact at any length; ``False`` keeps no records
+        and fixed-size sketches, so replay memory stays O(sketch
+        capacity) instead of O(arrivals): the million-arrival mode.
     decision_reuse:
         Reuse sizing decisions across arrivals of the same query class
         (identity + input-size octave + waiting-apps octave) under an
@@ -1527,8 +1451,11 @@ class ServingSimulator:
         submitted while earlier ones are still running contends with them
         for pool capacity instead of executing in a vacuum.  Arrivals
         coalesced into one sizing group (see ``batch_window_s``) share a
-        single vectorized forest pass; a solo arrival goes through the
-        per-query BO determination exactly as before.  Traces may be
+        single vectorized forest pass.  Under ``decision_reuse=True``
+        (the default) a repeat of a query class reuses its decision and
+        every reuse miss, solo or grouped, is sized through the batched
+        grid path; with ``decision_reuse=False`` a solo arrival goes
+        through the per-query RF+BO determination.  Traces may be
         event-object (:class:`WorkloadTrace`) or columnar
         (:class:`ColumnarTrace`); both drain identically.
         """
@@ -1709,10 +1636,17 @@ class ServingSimulator:
                 ),
             )
 
-        # Streaming accumulators always run (they are O(capacity));
-        # the per-query list is what keep_queries toggles.
+        # The stream carries every aggregate; keep_queries toggles only
+        # the per-query lists.  A kept replay already holds O(arrivals)
+        # records, so its sketches hold the whole stream and stay exact.
         report_stream = ServingStream(
-            self.slo_seconds, tenant_slos=tenant_slo_map
+            self.slo_seconds,
+            sketch_capacity=(
+                max(_SKETCH_CAPACITY, n_arrivals)
+                if self.keep_queries
+                else _SKETCH_CAPACITY
+            ),
+            tenant_slos=tenant_slo_map,
         )
         for tenant in tenant_names:
             report_stream.ensure_tenant(tenant)
@@ -1729,8 +1663,8 @@ class ServingSimulator:
         # arrival the fault plan never touches (see _ArrivalState).
         states: dict[int, _ArrivalState] = {}
         # In-flight counters and completion dispatch live in one flat
-        # table (replacing two closures per launch); its admission
-        # callbacks are wired below once the admission closures exist.
+        # table; its admission callbacks are wired below once the
+        # admission closures exist.
         table = _CompletionTable(
             stream=report_stream,
             served=served,

@@ -282,18 +282,8 @@ class TestStreamingReports:
         trace = make_trace()
         kept = replay(trace, keep_queries=True)
         streamed = replay(trace, keep_queries=False)
-        assert streamed.is_streaming and not kept.is_streaming
-        assert not streamed.served
-        kept_sig, streamed_sig = report_signature(kept), report_signature(
-            streamed
-        )
-        # The stream's cost total is exactly rounded (Shewchuk partials)
-        # while the kept list sums naively, so the two may differ in the
-        # last ulp; everything else must match bit for bit.
-        assert streamed_sig.pop("query_cost_dollars") == pytest.approx(
-            kept_sig.pop("query_cost_dollars"), rel=1e-13
-        )
-        assert kept_sig == streamed_sig
+        assert not streamed.served and kept.served
+        assert report_signature(kept) == report_signature(streamed)
         for q in (0, 10, 50, 90, 100):
             assert streamed.latency_percentile(q) == kept.latency_percentile(q)
             assert streamed.queueing_delay_percentile(
@@ -488,6 +478,35 @@ class TestKeptReportsExact:
         assert len(merged.served) == left.n_queries + right.n_queries
         assert_aggregates_match_records(merged)
 
+    def test_record_fold_matches_replay_stream(self, reports):
+        # Folding the kept records one at a time rebuilds the replay's
+        # completion aggregates (every fold here is order-independent).
+        report, _ = reports
+        stream = ServingStream(
+            report.slo_seconds,
+            sketch_capacity=report.stream.latency.capacity,
+            tenant_slos=report.tenant_slos,
+        )
+        for record in report.served:
+            stream.observe(record)
+
+        def completions(s):
+            return (
+                s.n, s.n_slo_hits, s.n_batched, s.n_aliens, s.n_retrains,
+                s.query_cost.value,
+                [s.latency.percentile(q) for q in (0, 50, 99, 100)],
+                [s.quota_throttle.percentile(q) for q in (50, 100)],
+            )
+
+        assert completions(stream) == completions(report.stream)
+        assert {
+            tenant: completions(sub)
+            for tenant, sub in stream.tenant_streams.items()
+        } == {
+            tenant: completions(sub)
+            for tenant, sub in report.stream.tenant_streams.items()
+        }
+
 
 class TestScaleScenario:
     """The 50k-arrival multi-tenant row: matrix invariants at scale."""
@@ -527,7 +546,7 @@ class TestScaleScenario:
 
     def test_every_arrival_served(self, report):
         pairs, report = report
-        assert report.is_streaming
+        assert not report.served
         assert report.n_queries == self.N_ARRIVALS
         assert set(report.tenants) == {tenant for tenant, _ in pairs}
 

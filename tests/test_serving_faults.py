@@ -432,7 +432,7 @@ class TestServingFaults:
     def test_streaming_mode_preserves_reliability_fields(self):
         full = _faulty_replay()
         streaming = _faulty_replay(keep_queries=False)
-        assert streaming.is_streaming and not full.is_streaming
+        assert full.served
         assert not streaming.served and not streaming.dropped
 
         want = _reliability_signature(full)
@@ -468,6 +468,28 @@ class TestServingFaults:
         report = _faulty_replay(retry_policy=None)
         assert "availability" in report.summary()
         assert "wasted" in report.summary()
+
+    @pytest.mark.parametrize("keep_queries", [True, False])
+    def test_all_dropped_report_is_empty_not_broken(self, keep_queries):
+        # Every SL hand-over fails, so every arrival exhausts its retry
+        # budget: the report has arrivals but no completions.  Both
+        # modes must read it the same way.
+        report = _faulty_replay(
+            fault_plan=FaultPlan(
+                seed=17, sl_failure_rate=1.0, sl_failure_delay_s=2.0
+            ),
+            retry_policy=RetryPolicy(2, backoff_base_s=1.0),
+            keep_queries=keep_queries,
+        )
+        assert report.n_queries == 0
+        assert report.n_failed == report.n_arrivals > 0
+        assert report.batched_decision_rate == 0.0
+        with pytest.raises(ValueError, match="the report is empty"):
+            report.slo_attainment
+        with pytest.raises(ValueError, match="the report is empty"):
+            report.latency_percentile(50)
+        summary = report.summary()
+        assert summary.startswith("0 queries") and "wasted" in summary
 
 
 class _FixedWindow(AdaptiveBatchWindow):

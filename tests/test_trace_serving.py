@@ -186,10 +186,13 @@ class TestServingSimulator:
         assert "keep-alive" in text
 
     def test_summary_shows_idle_spend_with_zero_queries(self):
-        from repro.core.serving import ServingReport
+        from repro.core.serving import ServingReport, ServingStream
 
         report = ServingReport(
-            served=[], slo_seconds=120.0, keepalive_cost_dollars=0.05
+            served=[],
+            slo_seconds=120.0,
+            stream=ServingStream(120.0),
+            keepalive_cost_dollars=0.05,
         )
         text = report.summary()
         assert "0 queries" in text
