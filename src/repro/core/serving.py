@@ -288,7 +288,11 @@ class ServingStream:
         return stream
 
     def observe(self, query: ServedQuery) -> None:
-        """Fold one completion record: a one-row :meth:`observe_columns`."""
+        """Fold one completion record: a one-row :meth:`observe_columns`.
+
+        Replays never call this (they flush column batches); it stays
+        because ``benchmarks/suite`` traces it by name.
+        """
         row = _completion_row(
             query.latency_s, query.queueing_delay_s, query.admission_delay_s,
             query.quota_delay_s, query.outcome, query.decision_batch_size,
