@@ -91,6 +91,7 @@ __all__ = [
     "TenantRegistry",
     "TenantSpec",
     "WeightedFairGrant",
+    "capable_shards",
 ]
 
 
@@ -783,6 +784,26 @@ class PoolShard:
         self.queue_version += 1
 
 
+def capable_shards(
+    pool: "ClusterPool", n_vm: int, n_sl: int
+) -> list[PoolShard]:
+    """The shards that could hold the most of an ``(n_vm, n_sl)``
+    request (capacity-wise), in declaration order.
+
+    Every router picks among these, so a VM+SL request never homes on
+    an SL-only shard that would silently drop its VMs.
+    """
+    shards = pool.shards
+    coverage = [
+        min(n_vm, shard.config.max_vms) + min(n_sl, shard.config.max_sls)
+        for shard in shards
+    ]
+    best = max(coverage)
+    return [
+        shard for shard, covered in zip(shards, coverage) if covered == best
+    ]
+
+
 class ShardRouter(abc.ABC):
     """Places an acquire request onto one of the pool's shards."""
 
@@ -809,18 +830,11 @@ class LeastLoadedRouter(ShardRouter):
     def route(
         self, n_vm: int, n_sl: int, tenant: str, pool: "ClusterPool"
     ) -> str:
-        best_name: str | None = None
-        best_key: tuple[int, int] | None = None
-        for shard in pool.shards:
-            coverage = (
-                min(n_vm, shard.config.max_vms)
-                + min(n_sl, shard.config.max_sls)
-            )
-            key = (coverage, shard.free_vms + shard.free_sls)
-            if best_key is None or key > best_key:
-                best_name, best_key = shard.name, key
-        assert best_name is not None  # pools always have >= 1 shard
-        return best_name
+        # ``max`` keeps the first of equal keys: declaration order.
+        return max(
+            capable_shards(pool, n_vm, n_sl),
+            key=lambda shard: shard.free_vms + shard.free_sls,
+        ).name
 
     def describe(self) -> str:
         return "least-loaded"
@@ -840,17 +854,9 @@ class TenantAffinityRouter(ShardRouter):
     def route(
         self, n_vm: int, n_sl: int, tenant: str, pool: "ClusterPool"
     ) -> str:
-        def coverage(shard: PoolShard) -> int:
-            return (
-                min(n_vm, shard.config.max_vms)
-                + min(n_sl, shard.config.max_sls)
-            )
-
-        shards = pool.shards
-        best = max(coverage(shard) for shard in shards)
-        capable = [s.name for s in shards if coverage(s) == best]
+        capable = capable_shards(pool, n_vm, n_sl)
         index = zlib.crc32(tenant.encode("utf-8")) % len(capable)
-        return capable[index]
+        return capable[index].name
 
     def describe(self) -> str:
         return "tenant-affinity"
@@ -886,27 +892,17 @@ class HealthAwareRouter(ShardRouter):
     ) -> str:
         horizon = pool.simulator.now - self.window_s
 
-        def coverage(shard: PoolShard) -> int:
-            return (
-                min(n_vm, shard.config.max_vms)
-                + min(n_sl, shard.config.max_sls)
-            )
-
         def recent_faults(shard: PoolShard) -> int:
             return sum(1 for t in shard.fault_times if t >= horizon)
 
-        shards = pool.shards
-        best = max(coverage(shard) for shard in shards)
-        capable = [s for s in shards if coverage(s) == best]
+        capable = capable_shards(pool, n_vm, n_sl)
         healthy = [s for s in capable if recent_faults(s) < self.trip_threshold]
-        best_name: str | None = None
-        best_key: tuple[int, int] | None = None
-        for shard in healthy or capable:
-            key = (-recent_faults(shard), shard.free_vms + shard.free_sls)
-            if best_key is None or key > best_key:
-                best_name, best_key = shard.name, key
-        assert best_name is not None  # pools always have >= 1 shard
-        return best_name
+        return max(
+            healthy or capable,
+            key=lambda shard: (
+                -recent_faults(shard), shard.free_vms + shard.free_sls
+            ),
+        ).name
 
     def describe(self) -> str:
         return (
@@ -1429,16 +1425,9 @@ class ClusterPool:
         arrival time (the serving layer, where admission and batching
         delays precede the pool request) pass it explicitly.
         """
-        if n_vm < 0 or n_sl < 0:
-            raise ValueError("instance counts must be non-negative")
-        if n_vm + n_sl == 0:
-            raise ValueError("at least one instance is required")
-        spec = self.tenants.get(tenant)
-        shard = self._shards[self.router.route(n_vm, n_sl, tenant, self)]
-        return self._acquire_on(
-            shard, spec, n_vm, n_sl, on_instance_ready, on_granted, tenant,
-            deadline_s,
-        )
+        return self.acquire_many([
+            (n_vm, n_sl, on_instance_ready, on_granted, tenant, deadline_s)
+        ])[0]
 
     def acquire_many(
         self,
@@ -1447,14 +1436,14 @@ class ClusterPool:
         """Grant a whole group's leases in one pass over shard state.
 
         ``requests`` is a list of ``(n_vm, n_sl, on_instance_ready,
-        on_granted, tenant)`` tuples -- optionally with a sixth element,
-        the absolute ``deadline_s`` -- processed in order with semantics
-        identical to sequential :meth:`acquire` calls -- grant-policy
-        ordering, quotas, work stealing and fault arming are all
-        event-exact, since each grant/queue decision observes the pool
-        state left by the previous one.  What the batch saves is the
-        per-request routing and tenant-spec lookups: with a single shard
-        the router is consulted once, and tenant specs are resolved once
+        on_granted, tenant, deadline_s)`` tuples -- the arguments of
+        :meth:`acquire`, which is this call with one request -- processed
+        in order: grant-policy ordering, quotas, work stealing and fault
+        arming are all event-exact, since each grant/queue decision
+        observes the pool state left by the previous one.  What the batch
+        saves is the per-request routing and tenant-spec lookups: a
+        single-shard pool skips the router (every router returns a
+        one-shard pool's only shard), and tenant specs are resolved once
         per distinct tenant.  The vectorized submission core leases each
         sizing group through this in one call.
         """
@@ -1463,13 +1452,8 @@ class ClusterPool:
             single = next(iter(self._shards.values()))
         specs: dict[str, TenantSpec] = {}
         leases: list[PoolLease] = []
-        for request in requests:
-            if len(request) == 5:
-                n_vm, n_sl, on_instance_ready, on_granted, tenant = request
-                deadline_s = None
-            else:
-                (n_vm, n_sl, on_instance_ready, on_granted, tenant,
-                 deadline_s) = request
+        for (n_vm, n_sl, on_instance_ready, on_granted, tenant,
+             deadline_s) in requests:
             if n_vm < 0 or n_sl < 0:
                 raise ValueError("instance counts must be non-negative")
             if n_vm + n_sl == 0:
@@ -1500,7 +1484,7 @@ class ClusterPool:
         on_instance_ready: Callable[[Instance, bool], None],
         on_granted: Callable[[PoolLease], None] | None,
         tenant: str,
-        deadline_s: float | None = None,
+        deadline_s: float | None,
     ) -> PoolLease:
         clamped_vm = min(n_vm, shard.config.max_vms)
         clamped_sl = min(n_sl, shard.config.max_sls)

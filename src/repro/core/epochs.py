@@ -52,6 +52,7 @@ from repro.cloud.pool import (
     GrantPolicy,
     PoolShard,
     ShardRouter,
+    capable_shards,
 )
 from repro.core.forecast import break_even_s
 
@@ -695,31 +696,15 @@ class ForecastAwareRouter(ShardRouter):
     def route(
         self, n_vm: int, n_sl: int, tenant: str, pool: ClusterPool
     ) -> str:
-        def coverage(shard: PoolShard) -> int:
-            return (
-                min(n_vm, shard.config.max_vms)
-                + min(n_sl, shard.config.max_sls)
-            )
-
-        shards = pool.shards
-        best_coverage = max(coverage(shard) for shard in shards)
-        best_name: str | None = None
-        best_key: tuple[int, float, int] | None = None
-        for shard in shards:
-            if coverage(shard) != best_coverage:
-                continue
-            warm_now = (
-                min(n_vm, shard.warm_vms) + min(n_sl, shard.warm_sls)
-            )
-            key = (
-                warm_now,
+        # ``max`` keeps the first of equal keys: declaration order.
+        return max(
+            capable_shards(pool, n_vm, n_sl),
+            key=lambda shard: (
+                min(n_vm, shard.warm_vms) + min(n_sl, shard.warm_sls),
                 self.planner.shard_forecast(shard.name),
                 shard.free_vms + shard.free_sls,
-            )
-            if best_key is None or key > best_key:
-                best_name, best_key = shard.name, key
-        assert best_name is not None  # pools always have >= 1 shard
-        return best_name
+            ),
+        ).name
 
     def describe(self) -> str:
         return "forecast-aware"

@@ -78,8 +78,8 @@ from repro.core.epochs import FleetPlanner, ForecastAwareRouter
 from repro.core.forecast import AdaptiveBatchWindow
 from repro.core.job import SubmissionOutcome
 from repro.core.smartpick import Smartpick
-from repro.engine.plan import PlanRunner, StagePlan, plan_supports
-from repro.engine.runner import QueryExecution, RetryPolicy, launch_query
+from repro.engine.plan import PlanRunner, StagePlan
+from repro.engine.runner import RetryPolicy, launch_query
 from repro.engine.simulator import DEFAULT_EVENT_BUDGET, Simulator
 from repro.engine.task import TaskDurationModel
 from repro.workloads import get_query
@@ -1019,182 +1019,6 @@ class _ArrivalState:
         self.basis = 0.0        # where attribution last stopped
 
 
-class _CompletionTable:
-    """Flat completion/failure dispatch for every in-flight arrival.
-
-    Launching registers one tuple of decision context keyed by arrival
-    index; two shared handlers look it up when the engine fires.  The
-    table also owns the replay's in-flight counters.
-
-    Every completion buffers one :func:`_completion_row`, and the buffer
-    flushes through :meth:`ServingStream.observe_columns` every
-    :data:`_FLUSH_EVERY` completions and once at replay end.  With
-    ``keep_queries=True`` (``served`` is a list) each completion also
-    builds its :class:`ServedQuery` record.  Drops feed the stream
-    immediately; they only touch counters and an order-independent
-    exact sum, so interleaving is immaterial.
-    """
-
-    _FLUSH_EVERY = 4096
-
-    __slots__ = (
-        "stream", "served", "states", "finalize", "admit_next",
-        "on_failure", "on_duration", "entries", "in_flight_total",
-        "tenant_in_flight", "in_flight_peaks", "n_terminated", "_rows",
-        "_row_tenants",
-    )
-
-    def __init__(
-        self,
-        stream: ServingStream,
-        served: "list[ServedQuery | None] | None",
-        states: "dict[int, _ArrivalState]",
-        finalize,
-    ) -> None:
-        self.stream = stream
-        self.served = served
-        self.states = states
-        self.finalize = finalize
-        #: Wired by the replay after its admission closures exist.
-        self.admit_next = None
-        self.on_failure = None
-        #: Optional duration sink (duration-aware autoscalers).
-        self.on_duration = None
-        #: arrival index -> (arrival, query, context, decision, waiting,
-        #: batch_size, batching_delay, admission_delay)
-        self.entries: dict[int, tuple] = {}
-        self.in_flight_total = 0
-        self.tenant_in_flight: collections.Counter[str] = (
-            collections.Counter()
-        )
-        self.in_flight_peaks: dict[str, int] = {}
-        self.n_terminated = 0
-        self._rows: list[tuple] = []
-        self._row_tenants: list[str] = []
-
-    def register(self, index: int, entry: tuple) -> None:
-        self.entries[index] = entry
-        self.in_flight_total += 1
-        tenant = entry[0].tenant
-        count = self.tenant_in_flight[tenant] + 1
-        self.tenant_in_flight[tenant] = count
-        if count > self.in_flight_peaks.get(tenant, 0):
-            self.in_flight_peaks[tenant] = count
-
-    # Submission-facing adapters: the scheduler path hands back a
-    # QueryExecution, the vectorized core a PlanRunner; both expose
-    # ``result`` and ``lease``.
-
-    def complete_execution(self, index: int, execution) -> None:
-        self.complete(index, execution.result, execution.lease)
-
-    def fail_execution(self, index: int, execution, reason: str) -> None:
-        self.fail(index, execution.lease)
-
-    def complete_runner(self, index: int, runner) -> None:
-        self.complete(index, runner.result, runner.lease)
-
-    def fail_runner(self, index: int, runner, reason: str) -> None:
-        self.fail(index, runner.lease)
-
-    def complete(self, index: int, result, lease) -> None:
-        (arrival, query, context, decision, waiting, batch_size,
-         batching_delay, admission_delay) = self.entries.pop(index)
-        self.in_flight_total -= 1
-        self.tenant_in_flight[arrival.tenant] -= 1
-        st = self.states.pop(index, None)
-        assert result is not None
-        outcome = self.finalize(
-            query,
-            context,
-            decision,
-            result,
-            # A clamped lease executed a different configuration than
-            # predicted -- and a preempted query's wall time includes a
-            # checkpoint/requeue detour; either way the error says
-            # nothing about the model (the run itself still feeds the
-            # history).
-            observe_error=(
-                not lease.was_clamped
-                and getattr(result, "n_preemptions", 0) == 0
-            ),
-        )
-        if self.on_duration is not None:
-            self.on_duration(outcome.actual_seconds)
-        n_retries = st.retries if st is not None else 0
-        # Wasted spend has two sources: failed attempts booked on the
-        # arrival state, and cooperative preemptions carried on the
-        # result itself (the preempted attempt's forfeited lease bill).
-        wasted = (st.wasted if st is not None else 0.0) + getattr(
-            result, "wasted_cost_dollars", 0.0
-        )
-        retry_delay = st.retry_delay if st is not None else 0.0
-        # Same term order as ServedQuery.latency_s, so the buffered
-        # value is bit-identical to the record's.
-        latency = (
-            admission_delay
-            + batching_delay
-            + retry_delay
-            + result.queueing_delay_s
-            + outcome.actual_seconds
-        )
-        self._rows.append(_completion_row(
-            latency, result.queueing_delay_s, admission_delay,
-            result.quota_delay_s, outcome, batch_size, n_retries, wasted,
-        ))
-        self._row_tenants.append(arrival.tenant)
-        if len(self._rows) >= self._FLUSH_EVERY:
-            self.flush()
-        if self.served is not None:
-            self.served[arrival.index] = ServedQuery(
-                arrival_s=arrival.event.arrival_s,
-                outcome=outcome,
-                waiting_apps_at_submit=waiting,
-                queueing_delay_s=result.queueing_delay_s,
-                decision_batch_size=batch_size,
-                batching_delay_s=batching_delay,
-                tenant=arrival.tenant,
-                admission_delay_s=admission_delay,
-                quota_delay_s=result.quota_delay_s,
-                n_retries=n_retries,
-                wasted_cost_dollars=wasted,
-                retry_delay_s=retry_delay,
-            )
-        self.n_terminated += 1
-        self.admit_next(arrival.tenant)
-
-    def fail(self, index: int, lease) -> None:
-        # A lease revocation killed this attempt mid-flight.  The
-        # partial spend it forfeited is already in the pool's wasted
-        # ledger; mirror it per arrival so the chargeback attributes it
-        # to the owning tenant.  The failed attempt never reaches
-        # ``finalize``: aborted runs must not feed the model's history.
-        (arrival, _query, _context, _decision, _waiting, _batch_size,
-         batching_delay, admission_delay) = self.entries.pop(index)
-        self.in_flight_total -= 1
-        self.tenant_in_flight[arrival.tenant] -= 1
-        st = self.states.get(index)
-        if st is None:
-            st = self.states[index] = _ArrivalState()
-            st.admission = admission_delay
-            st.batching = batching_delay
-        st.attempts += 1
-        st.wasted += lease.revoked_cost.total
-        self.on_failure(arrival, st)
-        self.admit_next(arrival.tenant)
-
-    def flush(self) -> None:
-        """Drain the buffered completion rows into the stream."""
-        if not self._rows:
-            return
-        self.stream.observe_columns(
-            self._row_tenants,
-            np.array(self._rows, dtype=np.float64),
-        )
-        self._rows = []
-        self._row_tenants = []
-
-
 def _group_bounds(
     times: np.ndarray, window: float | None
 ) -> Iterable[tuple[int, int]]:
@@ -1293,9 +1117,7 @@ class ServingSimulator:
         :meth:`ClusterPool.acquire_many
         <repro.cloud.pool.ClusterPool.acquire_many>` pass.  Reports are
         field-for-field ``"presample"``'s (same rng stream, event-exact
-        pool interleaving); policies a plan cannot express (static
-        timeouts, drained-instance holds) fall back per arrival to the
-        presampling path.  Noise caveat: ``"object"`` draws at each
+        pool interleaving).  Noise caveat: ``"object"`` draws at each
         task dispatch, so *concurrent* queries interleave draws on the
         shared rng; ``"presample"``/``"vector"`` draw each query's
         block at submit.  Reports across that divide match exactly only
@@ -1503,51 +1325,107 @@ class ServingSimulator:
         knob: float | None,
         mode: str,
     ) -> ServingReport:
+        return _Replay(self, pairs, knob, mode).run()
+
+
+class _Replay:
+    """One replay: its state and the Figure 3 workflow steps over it.
+
+    Built and run once by :meth:`ServingSimulator._replay`.  The drain
+    (:meth:`run`) hands each sizing group to :meth:`submit_group`, which
+    passes it through the per-tenant in-flight gate;
+    :meth:`submit_batch` decides the admitted arrivals and
+    :meth:`launch_group` starts them.  Each launch registers one entry
+    tuple of decision context keyed by arrival index, and the runner or
+    execution calls back :meth:`complete` or :meth:`fail`, which book the
+    outcome and admit the next waiter of the tenant.
+
+    Every completion buffers one :func:`_completion_row`, and the buffer
+    flushes through :meth:`ServingStream.observe_columns` every
+    :data:`_FLUSH_EVERY` completions and once at replay end.  With
+    ``keep_queries=True`` (``served`` is a list) each completion also
+    builds its :class:`ServedQuery` record.  Drops feed the stream
+    immediately; they only touch counters and an order-independent
+    exact sum, so interleaving is immaterial.
+    """
+
+    _FLUSH_EVERY = 4096
+
+    __slots__ = (
+        "serving", "knob", "mode", "registry", "simulator", "pool",
+        "planner", "forecast_observers", "duration_observers",
+        "feeds_arrivals", "tuner", "duration_model", "initializer",
+        "predictor", "tenant_names", "times", "query_ids", "query_index",
+        "input_gbs", "tenant_index", "n_arrivals", "last_arrival_s",
+        "preempt_enabled", "tenant_slo_map", "tenant_tiers",
+        "sizing_bounds", "stream", "served", "dropped",
+        "pending_admission", "states", "entries", "in_flight_total",
+        "tenant_in_flight", "in_flight_peaks", "n_terminated", "rows",
+        "row_tenants", "vector", "presample", "plans", "policy_cache",
+        "open_group", "fault_seed", "decision_cache", "epochs_planned",
+    )
+
+    def __init__(
+        self,
+        serving: ServingSimulator,
+        pairs: list[tuple[str, WorkloadTrace]],
+        knob: float | None,
+        mode: str,
+    ) -> None:
+        self.serving = serving
+        self.knob = knob
+        self.mode = mode
         # `is not None`, not truthiness: an *empty* strict registry is
         # falsy (len 0) but must still reject unknown tenants.
-        registry = (
-            self.tenants if self.tenants is not None else TenantRegistry()
+        registry = self.registry = (
+            serving.tenants
+            if serving.tenants is not None
+            else TenantRegistry()
         )
-        simulator = Simulator()
+        system = serving.system
+        simulator = self.simulator = Simulator()
         # A zero plan attaches NO injector at all: the fault-free replay
         # is bit-for-bit today's, with no draws and no extra events.
         injector = None
-        if self.fault_plan is not None and not self.fault_plan.is_zero:
-            injector = FaultInjector(self.fault_plan)
-        pool = ClusterPool(
+        if serving.fault_plan is not None and not serving.fault_plan.is_zero:
+            injector = FaultInjector(serving.fault_plan)
+        pool = self.pool = ClusterPool(
             simulator,
-            provider=self.system.provider,
-            prices=self.system.prices,
-            config=self.pool_config,
-            autoscaler=self.autoscaler,
-            shards=self.shards,
-            router=self.router,
+            provider=system.provider,
+            prices=system.prices,
+            config=serving.pool_config,
+            autoscaler=serving.autoscaler,
+            shards=serving.shards,
+            router=serving.router,
             tenants=registry,
-            grant_policy=self.grant_policy,
-            shard_autoscalers=self.shard_autoscalers,
+            grant_policy=serving.grant_policy,
+            shard_autoscalers=serving.shard_autoscalers,
             fault_injector=injector,
         )
         # Epoch planning runs on a fresh copy of the configured planner,
         # so replays stay deterministic however often the simulator is
         # reused.  A forecast-aware router must read the SAME planner
         # instance the replay feeds, so it is rebound to the fresh copy.
-        planner = self.planner.fresh() if self.planner is not None else None
+        planner = self.planner = (
+            serving.planner.fresh() if serving.planner is not None else None
+        )
         if planner is not None and isinstance(
             pool.router, ForecastAwareRouter
         ):
             pool.router = ForecastAwareRouter(planner)
+        policies = (
+            serving.autoscaler,
+            *(serving.shard_autoscalers or {}).values(),
+        )
         # Forecast-driven autoscalers duck-type on `observe_arrival`;
         # they receive every arrival's query class and routed shard.
         # Dedup keys on the observation SINK (the forecaster when the
         # policy exposes one), so per-shard policies sharing one
         # forecaster do not double-feed it -- duplicate same-timestamp
         # observations would floor the gap EWMA to min_gap_s.
-        forecast_observers = []
+        forecast_observers = self.forecast_observers = []
         seen_sinks: set[int] = set()
-        for policy in (
-            self.autoscaler,
-            *(self.shard_autoscalers or {}).values(),
-        ):
+        for policy in policies:
             if policy is None or not hasattr(policy, "observe_arrival"):
                 continue
             sink = getattr(policy, "forecaster", policy)
@@ -1559,18 +1437,16 @@ class ServingSimulator:
         # `observe_duration`: every completion's actual runtime feeds
         # their park-bound widening.  Dedup on the policy itself -- the
         # duration EWMA lives there, not on the shared forecaster.
-        duration_observers = []
+        duration_observers = self.duration_observers = []
         seen_policies: set[int] = set()
-        for policy in (
-            self.autoscaler,
-            *(self.shard_autoscalers or {}).values(),
-        ):
+        for policy in policies:
             if policy is None or not hasattr(policy, "observe_duration"):
                 continue
             if id(policy) in seen_policies:
                 continue
             seen_policies.add(id(policy))
             duration_observers.append(policy)
+        self.feeds_arrivals = bool(forecast_observers) or planner is not None
         # Serving feeds scopes actively, so pin every shard's scope up
         # front: a shard that never receives a routed arrival then
         # forecasts "drained" instead of falling back to the global
@@ -1582,652 +1458,164 @@ class ServingSimulator:
             if ensure_scope is not None:
                 for shard_name in pool.shard_names:
                     ensure_scope(shard_name)
-        tuner = self._batch_tuner()
+        self.tuner = serving._batch_tuner()
         # One duration model, seeded from the system's master generator,
         # keeps the whole replay deterministic for a given seed.
-        duration_model = TaskDurationModel(
-            provider=self.system.provider, rng=self.system.rng
+        self.duration_model = TaskDurationModel(
+            provider=system.provider, rng=system.rng
         )
-        initializer = self.system.job_initializer
-        predictor = self.system.predictor
+        self.initializer = system.job_initializer
+        self.predictor = system.predictor
 
         # Merge the per-tenant traces into one time-ordered column set;
         # the sort is stable, so equal arrival times keep pair order and
         # a single-trace replay preserves its exact trace order.  The
-        # drain below walks these columns, building each arrival's
-        # record only when its group fires.
-        tenant_names = [tenant for tenant, _ in pairs]
-        times, query_ids, query_index, input_gbs, tenant_index = (
-            merge_arrival_columns(pairs)
-        )
-        n_arrivals = len(times)
+        # drain walks these columns, building each arrival's record
+        # only when its group fires.
+        tenant_names = self.tenant_names = [tenant for tenant, _ in pairs]
+        (self.times, self.query_ids, self.query_index, self.input_gbs,
+         self.tenant_index) = merge_arrival_columns(pairs)
+        n_arrivals = self.n_arrivals = len(self.times)
+        # Epoch ticks stop after the last arrival -- a plan nobody will
+        # arrive to use is wasted money.
+        self.last_arrival_s = float(self.times[-1]) if n_arrivals else 0.0
 
         # SLO-tier serving state, all inert when no tenant declares an
         # SLO and the grant policy does not preempt: deadlines stay
         # None, nothing launches preemptible, and sizing bounds stay
         # unconstrained -- the legacy replay bit for bit.
-        preempt_enabled = bool(getattr(self.grant_policy, "preempt", False))
-        tenant_slo_map: dict[str, float] = {}
-        tenant_tiers: dict[str, str] = {}
+        self.preempt_enabled = bool(
+            getattr(serving.grant_policy, "preempt", False)
+        )
+        tenant_slo_map = self.tenant_slo_map = {}
+        tenant_tiers = self.tenant_tiers = {}
+        # Candidate-search (nVM, nSL) caps per tenant: its lease quotas
+        # under quota-priced sizing, none otherwise.
+        sizing_bounds = self.sizing_bounds = {}
         for tenant in tenant_names:
             spec = registry.get(tenant)
             if spec.slo_latency_s is not None:
                 tenant_slo_map[tenant] = spec.slo_latency_s
             tenant_tiers[tenant] = spec.tier
-        sizing_bounds: dict[str, tuple[int | None, int | None]] | None = None
-        if self.quota_priced_sizing:
-            sizing_bounds = {
-                tenant: (
-                    registry.get(tenant).max_leased_vms,
-                    registry.get(tenant).max_leased_sls,
-                )
-                for tenant in tenant_names
-            }
-
-        def bounds_for(tenant: str) -> tuple[int | None, int | None]:
-            if sizing_bounds is None:
-                return (None, None)
-            return sizing_bounds.get(tenant, (None, None))
-
-        def make_arrival(position: int) -> _Arrival:
-            return _Arrival(
-                index=position,
-                tenant=tenant_names[tenant_index[position]],
-                event=TraceEvent(
-                    arrival_s=float(times[position]),
-                    query_id=query_ids[query_index[position]],
-                    input_gb=float(input_gbs[position]),
-                ),
+            sizing_bounds[tenant] = (
+                (spec.max_leased_vms, spec.max_leased_sls)
+                if serving.quota_priced_sizing
+                else (None, None)
             )
 
         # The stream carries every aggregate; keep_queries toggles only
         # the per-query lists.  A kept replay already holds O(arrivals)
         # records, so its sketches hold the whole stream and stay exact.
-        report_stream = ServingStream(
-            self.slo_seconds,
+        keep = serving.keep_queries
+        self.stream = ServingStream(
+            serving.slo_seconds,
             sketch_capacity=(
-                max(_SKETCH_CAPACITY, n_arrivals)
-                if self.keep_queries
-                else _SKETCH_CAPACITY
+                max(_SKETCH_CAPACITY, n_arrivals) if keep else _SKETCH_CAPACITY
             ),
             tenant_slos=tenant_slo_map,
         )
         for tenant in tenant_names:
-            report_stream.ensure_tenant(tenant)
-        served: list[ServedQuery | None] | None = (
-            [None] * n_arrivals if self.keep_queries else None
+            self.stream.ensure_tenant(tenant)
+        self.served: list[ServedQuery | None] | None = (
+            [None] * n_arrivals if keep else None
         )
-        dropped: list[DroppedQuery] | None = (
-            [] if self.keep_queries else None
-        )
-        pending_admission: dict[str, collections.deque[_Arrival]] = (
+        self.dropped: list[DroppedQuery] | None = [] if keep else None
+        self.pending_admission: dict[str, collections.deque[_Arrival]] = (
             collections.defaultdict(collections.deque)
         )
         # Retry bookkeeping, keyed by arrival index; absent for every
         # arrival the fault plan never touches (see _ArrivalState).
-        states: dict[int, _ArrivalState] = {}
-        # In-flight counters and completion dispatch live in one flat
-        # table; its admission callbacks are wired below once the
-        # admission closures exist.
-        table = _CompletionTable(
-            stream=report_stream,
-            served=served,
-            states=states,
-            finalize=initializer.finalize,
+        self.states: dict[int, _ArrivalState] = {}
+        #: arrival index -> (arrival, query, context, decision, waiting,
+        #: batch_size, batching_delay, admission_delay)
+        self.entries: dict[int, tuple] = {}
+        self.in_flight_total = 0
+        self.tenant_in_flight: collections.Counter[str] = (
+            collections.Counter()
         )
-        if duration_observers or planner is not None:
-            def feed_durations(seconds: float) -> None:
-                for policy in duration_observers:
-                    policy.observe_duration(seconds)
-                if planner is not None:
-                    planner.observe_duration(seconds)
-
-            table.on_duration = feed_durations
-        presample = self.submission != "object"
-        vector = self.submission == "vector"
+        self.in_flight_peaks: dict[str, int] = {}
+        self.n_terminated = 0
+        self.rows: list[tuple] = []
+        self.row_tenants: list[str] = []
+        self.vector = serving.submission == "vector"
+        self.presample = serving.submission != "object"
         # Compiled execution plans, keyed by the memoized query object:
         # repeat arrivals of a class skip the per-query scheduler build.
-        plans: dict[int, StagePlan] = {}
+        self.plans: dict[int, StagePlan] = {}
         # Termination policies are stateless and depend only on which
         # sides of the split are populated, so one instance per shape
-        # serves every arrival (the plan-support verdict rides along).
-        policy_cache: dict[tuple[bool, bool], tuple[object, bool]] = {}
-
-        def policy_for(n_vm: int, n_sl: int) -> tuple[object, bool]:
-            key = (n_vm > 0, n_sl > 0)
-            hit = policy_cache.get(key)
-            if hit is None:
-                policy = initializer.execution_policy(n_vm, n_sl)
-                hit = policy_cache[key] = (policy, plan_supports(policy))
-            return hit
-        # The adaptive drain's currently open sizing group, hoisted so
-        # retried/admitted arrivals can join it (shared forest pass)
-        # instead of always deciding solo.  Static windows never fill it.
-        open_group: list[_Arrival] = []
-        fault_seed = self.fault_plan.seed if self.fault_plan is not None else 0
-
-        def retry_u(index: int, attempt: int) -> float:
-            # The same stateless hash-uniform scheme the injector uses:
-            # backoff jitter is reproducible per (arrival, attempt) and
-            # independent of event interleaving.
-            key = f"{fault_seed}|retry|{index}|{attempt}"
-            return (zlib.crc32(key.encode("utf-8")) + 0.5) / 2**32
-
+        # serves every arrival.
+        self.policy_cache: dict[tuple[bool, bool], object] = {}
+        # The adaptive drain's currently open sizing group, so retried
+        # and admitted arrivals can join it (shared forest pass) instead
+        # of always deciding solo.  Static windows never fill it.
+        self.open_group: list[_Arrival] = []
+        self.fault_seed = (
+            serving.fault_plan.seed if serving.fault_plan is not None else 0
+        )
         # Class-level decision reuse (see ``decision_reuse``): one cache
         # per replay, invalidated entry-wise when the model retrains.
         # key -> (model_version, context, decision, zero-inference reuse
         # decision); see the cache-hit path in submit_batch.
-        decision_cache: dict[tuple, tuple[int, object, object, object]] = {}
+        self.decision_cache: dict[tuple, tuple] = {}
+        self.epochs_planned = 0
 
-        def handle_failure(arrival: _Arrival, st: _ArrivalState) -> None:
-            """Retry-or-drop policy applied after the table books a
-            failed attempt."""
-            if (
-                self.retry_policy is not None
-                and st.attempts <= self.retry_policy.max_retries
-            ):
-                delay = self.retry_policy.backoff(
-                    st.attempts, retry_u(arrival.index, st.attempts)
-                )
-                simulator.schedule(delay, lambda: resubmit(arrival))
-            else:
-                drop(arrival, "failed")
+    # ------------------------------------------------------------------
+    # The drain
+    # ------------------------------------------------------------------
 
-        def launch_group(entries: list[tuple]) -> None:
-            """Launch a decided group's arrivals (table entry tuples).
-
-            Pool acquisition order is arrival order, exactly the
-            sequential path's; consecutive plan-backed launches lease
-            through ONE ``acquire_many`` pass (an unsupported policy
-            flushes the run and falls back to ``launch_query``, keeping
-            the order).  Task-noise draws also stay in arrival order:
-            the duration model and the pool share no rng, so hoisting
-            every ``begin()`` ahead of its grant changes no stream.
-            """
-            observed: list[tuple[_Arrival, object]] = []
-            pending: list[tuple[PlanRunner, tuple]] = []
-
-            def flush_pending() -> None:
-                if not pending:
-                    return
-                leases = pool.acquire_many([req for _, req in pending])
-                # Binding after the batch is safe: revocation can only
-                # fire from a *future* simulator event.
-                for (runner, _), lease in zip(pending, leases):
-                    runner.bind(lease)
-                pending.clear()
-
-            shapes = [policy_for(e[3].n_vm, e[3].n_sl) for e in entries]
-            policies = [shape[0] for shape in shapes]
-            supported = [shape[1] for shape in shapes] if vector else None
-            # When the whole group rides the fast path, draw ONE noise
-            # block for the group and hand each runner its slice:
-            # ``Generator.normal`` fills arrays sequentially from the
-            # bitstream, so a group-sized draw split in entry order is
-            # bitwise identical to per-runner draws.
-            noise_slices: list[list[float]] | None = None
-            if supported is not None and len(entries) > 1 and all(supported):
-                sizes = [e[1].total_tasks for e in entries]
-                block = duration_model.noise_block(sum(sizes)).tolist()
-                noise_slices = []
-                offset = 0
-                for size in sizes:
-                    noise_slices.append(block[offset:offset + size])
-                    offset += size
-
-            for position, entry in enumerate(entries):
-                arrival, query, _context, decision = entry[:4]
-                st = states.get(arrival.index)
-                first_attempt = st is None or st.attempts == 0
-                policy = policies[position]
-                table.register(arrival.index, entry)
-                # SLO tiers: the deadline is anchored at the *arrival*
-                # (retries keep the original promise), and only
-                # batch-tier work is launched preemptible -- an
-                # interactive query is never a preemption victim.
-                slo = tenant_slo_map.get(arrival.tenant)
-                deadline = (
-                    arrival.event.arrival_s + slo if slo is not None else None
-                )
-                if supported is not None and supported[position]:
-                    plan = plans.get(id(query))
-                    if plan is None:
-                        plan = plans[id(query)] = StagePlan(
-                            query, duration_model
-                        )
-                    runner = PlanRunner(
-                        plan,
-                        pool,
-                        duration_model,
-                        policy,
-                        tenant=arrival.tenant,
-                        on_complete=functools.partial(
-                            table.complete_runner, arrival.index
-                        ),
-                        on_failed=functools.partial(
-                            table.fail_runner, arrival.index
-                        ),
-                    )
-                    noise = (
-                        noise_slices[position]
-                        if noise_slices is not None
-                        else None
-                    )
-                    pending.append(
-                        (
-                            runner,
-                            runner.begin(
-                                decision.n_vm, decision.n_sl, noise,
-                                deadline_s=deadline,
-                            ),
-                        )
-                    )
-                    if (
-                        forecast_observers or planner is not None
-                    ) and first_attempt:
-                        observed.append((arrival, runner))
-                else:
-                    flush_pending()
-                    execution = launch_query(
-                        query,
-                        n_vm=decision.n_vm,
-                        n_sl=decision.n_sl,
-                        pool=pool,
-                        policy=policy,
-                        duration_model=duration_model,
-                        presample=presample,
-                        on_complete=functools.partial(
-                            table.complete_execution, arrival.index
-                        ),
-                        on_failed=functools.partial(
-                            table.fail_execution, arrival.index
-                        ),
-                        tenant=arrival.tenant,
-                        deadline_s=deadline,
-                        preemptible=(
-                            preempt_enabled
-                            and tenant_tiers.get(arrival.tenant, "batch")
-                            == "batch"
-                        ),
-                    )
-                    if (
-                        forecast_observers or planner is not None
-                    ) and first_attempt:
-                        observed.append((arrival, execution))
-            flush_pending()
-            for arrival, holder in observed:
-                # The lease is routed (and, when capacity allows --
-                # stealing included -- granted) synchronously inside
-                # the acquire, so lease.shard is the serving shard for
-                # every immediate grant.  A lease that *queues* and is
-                # later stolen observes its routed home instead: the
-                # shard the affinity policy wanted its warmth on.
-                # Feeding after the loop is equivalent to feeding
-                # between acquires: nothing in the pool reads the
-                # forecaster synchronously.
-                class_key = self.system.predictor.query_class(
-                    arrival.event.query_id, arrival.event.input_gb
-                )
-                for observer in forecast_observers:
-                    observer.observe_arrival(
-                        class_key,
-                        arrival.event.arrival_s,
-                        scope=holder.lease.shard,
-                    )
-                if planner is not None:
-                    # The epoch records the *granted* worker counts (the
-                    # lease's, capacity/quota-clamped), not the decided
-                    # ones: forecasting clamped demand would re-amplify
-                    # exactly what the pool refused to grant.
-                    lease = holder.lease
-                    planner.observe_arrival(
-                        arrival.tenant,
-                        class_key,
-                        arrival.event.input_gb,
-                        shard=lease.shard,
-                        n_vm=lease.n_vm,
-                        n_sl=lease.n_sl,
-                    )
-
-        def submit_batch(batch: list[_Arrival], decide_time: float) -> None:
-            # Queries still queued or running when this batch decides are
-            # "waiting applications"; members of the batch additionally
-            # see the members ahead of them, exactly as if they had been
-            # submitted one after another at the same instant.
-            waiting_base = table.in_flight_total
-            queries = [
-                get_query(a.event.query_id, input_gb=a.event.input_gb)
-                for a in batch
-            ]
-            if self.decision_reuse:
-                # Class-level reuse: arrivals of the same query class
-                # under a similar load octave share one grid decision
-                # until the model retrains.  Hits cost no forest pass
-                # (inference_seconds=0); misses batch through one
-                # vectorised decide_many call.
-                version = predictor.model_version
-                keys: list[tuple] = []
-                slots: list[tuple | None] = [None] * len(batch)
-                misses: list[int] = []
-                for position, arrival in enumerate(batch):
-                    key = (
-                        predictor.query_class(
-                            arrival.event.query_id, arrival.event.input_gb
-                        ),
-                        (waiting_base + position).bit_length(),
-                        mode,
-                        bounds_for(arrival.tenant),
-                    )
-                    keys.append(key)
-                    hit = decision_cache.get(key)
-                    if hit is not None and hit[0] == version:
-                        # hit[3] is the pre-zeroed reuse decision built
-                        # once at insert time (hits cost no forest pass,
-                        # so they report inference_seconds=0); sharing
-                        # one immutable decision object across hits
-                        # replaces a per-arrival dataclasses.replace.
-                        slots[position] = (hit[1], hit[3])
-                    else:
-                        misses.append(position)
-                if misses:
-                    # One decide_many per distinct quota bound (a single
-                    # unconstrained group when sizing ignores quotas).
-                    miss_groups: dict[tuple, list[int]] = {}
-                    for p in misses:
-                        miss_groups.setdefault(keys[p][3], []).append(p)
-                    for (bound_vm, bound_sl), positions in miss_groups.items():
-                        fresh = initializer.decide_many(
-                            [queries[p] for p in positions],
-                            knob=knob,
-                            mode=mode,
-                            num_waiting_apps=waiting_base,
-                            max_vm=bound_vm,
-                            max_sl=bound_sl,
-                        )
-                        for p, (context, decision) in zip(positions, fresh):
-                            slots[p] = (context, decision)
-                            # Re-read the version: a retrain during
-                            # decide (alien-triggered) must not
-                            # resurrect entries.
-                            decision_cache[keys[p]] = (
-                                predictor.model_version,
-                                context,
-                                decision,
-                                dataclasses.replace(
-                                    decision, inference_seconds=0.0
-                                ),
-                            )
-                decided = slots
-            elif len(batch) == 1:
-                bound_vm, bound_sl = bounds_for(batch[0].tenant)
-                decided = [
-                    initializer.decide(
-                        queries[0],
-                        knob=knob,
-                        mode=mode,
-                        num_waiting_apps=waiting_base,
-                        max_vm=bound_vm,
-                        max_sl=bound_sl,
-                    )
-                ]
-            else:
-                batch_bounds = {bounds_for(a.tenant) for a in batch}
-                if len(batch_bounds) == 1:
-                    bound_vm, bound_sl = next(iter(batch_bounds))
-                    decided = initializer.decide_many(
-                        queries,
-                        knob=knob,
-                        mode=mode,
-                        num_waiting_apps=waiting_base,
-                        max_vm=bound_vm,
-                        max_sl=bound_sl,
-                    )
-                else:
-                    # Mixed quota bounds in one coalesced group: size
-                    # per arrival so each query's grid honours its own
-                    # tenant's cap (and its exact waiting count).
-                    decided = [
-                        initializer.decide(
-                            query,
-                            knob=knob,
-                            mode=mode,
-                            num_waiting_apps=waiting_base + position,
-                            max_vm=bounds_for(arrival.tenant)[0],
-                            max_sl=bounds_for(arrival.tenant)[1],
-                        )
-                        for position, (arrival, query) in enumerate(
-                            zip(batch, queries)
-                        )
-                    ]
-            if tuner is not None:
-                # Per-query inference_seconds amortise one pass equally,
-                # so their sum is the measured wall time of this pass.
-                tuner.observe_decision(
-                    sum(decision.inference_seconds for _, decision in decided)
-                )
-            entries: list[tuple] = []
-            for offset, (arrival, query, (context, decision)) in enumerate(
-                zip(batch, queries, decided)
-            ):
-                st = states.get(arrival.index)
-                if st is None:
-                    batching_delay = decide_time - arrival.event.arrival_s
-                    admission_delay = 0.0
-                    if simulator.now > decide_time:
-                        # Re-submitted through the admission gate: the
-                        # wait past the group's window close is
-                        # admission delay.
-                        admission_delay = simulator.now - decide_time
-                else:
-                    # Stateful arrivals accumulate spans from wherever
-                    # attribution last stopped, so the components still
-                    # sum to submit-time minus arrival-time.
-                    st.batching += max(decide_time - st.basis, 0.0)
-                    st.basis = decide_time
-                    if simulator.now > decide_time:
-                        st.admission += simulator.now - decide_time
-                        st.basis = simulator.now
-                    batching_delay = st.batching
-                    admission_delay = st.admission
-                entries.append((
-                    arrival,
-                    query,
-                    context,
-                    decision,
-                    waiting_base + offset,
-                    len(batch),
-                    batching_delay,
-                    admission_delay,
-                ))
-            launch_group(entries)
-
-        def admits(arrival: _Arrival, admitted_ahead: int) -> bool:
-            cap = registry.get(arrival.tenant).max_in_flight
-            if cap is None:
-                return True
-            return (
-                table.tenant_in_flight[arrival.tenant] + admitted_ahead < cap
-            )
-
-        def admit_next(tenant: str) -> None:
-            """A termination freed an in-flight slot; admit one waiter."""
-            queue = pending_admission.get(tenant)
-            if not queue or not admits(queue[0], 0):
-                return
-            arrival = queue.popleft()
-            st = states.get(arrival.index)
-            if st is not None:
-                # A retried arrival re-enters the gate: the wait since
-                # its resubmission is admission delay.
-                st.admission += simulator.now - st.basis
-                st.basis = simulator.now
-                enter(arrival)
-            elif tuner is not None and open_group:
-                # Adaptive coalescing: the freed slot lands while a
-                # sizing group is open -- join it and share the
-                # imminent forest pass instead of deciding solo.
-                st = states[arrival.index] = _ArrivalState()
-                st.admission = simulator.now - arrival.event.arrival_s
-                st.basis = simulator.now
-                open_group.append(arrival)
-            else:
-                submit_batch([arrival], decide_time=arrival.event.arrival_s)
-
-        def enter(arrival: _Arrival) -> None:
-            """Submit a retried/re-admitted arrival for sizing now."""
-            if tuner is not None and open_group:
-                open_group.append(arrival)
-                return
-            submit_batch([arrival], decide_time=simulator.now)
-
-        def defer(arrival: _Arrival) -> None:
-            """Queue at the admission gate, shedding over the bound."""
-            queue = pending_admission[arrival.tenant]
-            if (
-                self.max_pending_admission is not None
-                and len(queue) >= self.max_pending_admission
-            ):
-                drop(arrival, "shed")
-                return
-            queue.append(arrival)
-
-        def resubmit(arrival: _Arrival) -> None:
-            """The backoff expired: route the retry back through
-            admission, the quota gate and the coalescer."""
-            st = states[arrival.index]
-            st.retries += 1
-            # Cumulative by construction: total elapsed minus what the
-            # other components already claimed.
-            st.retry_delay = (
-                simulator.now - arrival.event.arrival_s
-                - st.admission - st.batching
-            )
-            st.basis = simulator.now
-            if admits(arrival, 0):
-                enter(arrival)
-            else:
-                defer(arrival)
-
-        def drop(arrival: _Arrival, reason: str) -> None:
-            """Terminate an arrival without serving it (loudly counted)."""
-            st = states.pop(arrival.index, None)
-            record = DroppedQuery(
-                arrival_s=arrival.event.arrival_s,
-                query_id=arrival.event.query_id,
-                tenant=arrival.tenant,
-                reason=reason,
-                n_retries=st.retries if st is not None else 0,
-                wasted_cost_dollars=st.wasted if st is not None else 0.0,
-            )
-            report_stream.observe_drop(record)
-            table.n_terminated += 1
-            if dropped is not None:
-                dropped.append(record)
-
-        def submit_group(group: list[_Arrival], decide_time: float) -> None:
-            admitted: list[_Arrival] = []
-            for arrival in group:
-                ahead = sum(
-                    1 for a in admitted if a.tenant == arrival.tenant
-                )
-                if admits(arrival, ahead):
-                    admitted.append(arrival)
-                else:
-                    defer(arrival)
-            if admitted:
-                submit_batch(admitted, decide_time=decide_time)
-
-        table.admit_next = admit_next
-        table.on_failure = handle_failure
-
-        # The adaptive coalescer is event-driven: each arrival either
-        # joins the open group (hoisted above, so retries and gate
-        # re-admissions can join it too), opens a new one that closes
-        # after the tuner's *current* window, or -- when the window is
-        # 0 -- decides solo immediately (the break-even says a wait is
-        # not worth a shared pass right now).  Static windows never call
-        # these handlers.
-        def close_group() -> None:
-            group = list(open_group)
-            open_group.clear()
-            submit_group(group, decide_time=simulator.now)
-
-        def on_arrival(arrival: _Arrival) -> None:
-            tuner.observe_arrival(arrival.event.arrival_s)
-            if open_group:
-                open_group.append(arrival)
-                return
-            window = tuner.window()
-            if window <= 0.0:
-                submit_group([arrival], decide_time=simulator.now)
-                return
-            open_group.append(arrival)
-            simulator.schedule(window, close_group)
-
-        # Epoch boundaries are ordinary simulator events.  Ticks stop
-        # after the last arrival -- a plan nobody will arrive to use is
-        # wasted money.
-        epochs_planned = 0
-        last_arrival_s = float(times[-1]) if n_arrivals else 0.0
-
-        def epoch_tick() -> None:
-            nonlocal epochs_planned
-            pool.apply_plan(planner.on_epoch_end(pool, simulator.now))
-            epochs_planned += 1
-            next_end = simulator.now + planner.epoch_s
-            if next_end <= last_arrival_s:
-                simulator.schedule_at(next_end, epoch_tick)
-
+    def run(self) -> ServingReport:
+        """Drain every arrival, then build the report."""
+        serving = self.serving
+        simulator = self.simulator
+        pool = self.pool
+        planner = self.planner
+        times = self.times
+        n_arrivals = self.n_arrivals
+        # Epoch boundaries are ordinary simulator events.
         if planner is not None and n_arrivals:
             planner.begin(float(times[0]))
             first_end = float(times[0]) + planner.epoch_s
-            if first_end <= last_arrival_s:
-                simulator.schedule_at(first_end, epoch_tick)
-
-        # The drain: each sizing group fires at its decide time (its
-        # last member's arrival) after ``run_before`` has fired every
-        # pending event strictly before that time, so a group fires
-        # ahead of any runtime event -- an epoch tick included -- at the
-        # same timestamp.  The adaptive tuner's window evolves with
-        # every arrival, so under it each arrival is its own step and
+            if first_end <= self.last_arrival_s:
+                simulator.schedule_at(first_end, self.epoch_tick)
+        # Each sizing group fires at its decide time (its last member's
+        # arrival) after ``run_before`` has fired every pending event
+        # strictly before that time, so a group fires ahead of any
+        # runtime event -- an epoch tick included -- at the same
+        # timestamp.  The adaptive tuner's window evolves with every
+        # arrival, so under it each arrival is its own step and
         # ``on_arrival`` does the grouping; a ``close_group`` scheduled
         # at the next arrival's timestamp fires after that arrival.
         fuse = max(DEFAULT_EVENT_BUDGET, 64 * n_arrivals)
-        window = self.batch_window_s if tuner is None else None
+        static = self.tuner is None
+        window = serving.batch_window_s if static else None
         for start, end in _group_bounds(times, window):
             fire = float(times[end - 1])
             simulator.run_before(fire, max_events=fuse)
-            if tuner is None:
-                submit_group(
-                    [make_arrival(i) for i in range(start, end)],
+            if static:
+                self.submit_group(
+                    [self.make_arrival(i) for i in range(start, end)],
                     decide_time=fire,
                 )
             else:
-                on_arrival(make_arrival(start))
+                self.on_arrival(self.make_arrival(start))
         simulator.run(max_events=fuse)
         pool.shutdown()
-        table.flush()
-        # The table's admission hooks close over the replay's state,
-        # which holds the table: break the cycle so the replay's state
-        # is freed when this call returns.
-        table.admit_next = table.on_failure = table.on_duration = None
-        # The epoch tick reschedules itself through its own closure cell
-        # (a cycle holding the pool and simulator): unbind it too.
-        epoch_tick = None
-        if table.n_terminated != n_arrivals:
+        self.flush()
+        if self.n_terminated != n_arrivals:
             raise RuntimeError("some trace arrivals never completed")
-        if report_stream.n_shed > 0:
+        if self.stream.n_shed > 0:
             # Load shedding rejects work the trace asked for; never do
             # that silently.
             warnings.warn(
-                f"{report_stream.n_shed} arrivals shed at the admission "
+                f"{self.stream.n_shed} arrivals shed at the admission "
                 f"gate (max_pending_admission="
-                f"{self.max_pending_admission}); the report's shed_rate "
+                f"{serving.max_pending_admission}); the report's shed_rate "
                 "reflects rejected work",
                 RuntimeWarning,
-                stacklevel=3,
+                stacklevel=4,
             )
-        if self._default_pool and pool.stats.leases_queued > 0:
+        if serving._default_pool and pool.stats.leases_queued > 0:
             # The default pool is wide, but any finite cap can contend.
             # Queueing under the *default* config means the replay no
             # longer matches the paper's contention-free serving model --
@@ -2238,28 +1626,603 @@ class ServingSimulator:
                 "PoolConfig sized for this trace (or expect queueing "
                 "delays in the report)",
                 RuntimeWarning,
-                stacklevel=3,
+                stacklevel=4,
             )
         return ServingReport(
             served=(
-                [record for record in served if record is not None]
-                if served is not None
+                [record for record in self.served if record is not None]
+                if self.served is not None
                 else []
             ),
-            slo_seconds=self.slo_seconds,
+            slo_seconds=serving.slo_seconds,
             pool_stats=pool.stats,
             keepalive_cost_dollars=pool.keepalive_cost_dollars,
             keepalive_cost_by_shard=pool.keepalive_cost_by_shard,
             tenant_weights={
-                tenant: registry.weight(tenant) for tenant, _ in pairs
+                tenant: self.registry.weight(tenant)
+                for tenant in self.tenant_names
             },
             tenant_peaks=pool.tenant_peaks,
-            dropped=dropped if dropped is not None else [],
+            dropped=self.dropped if self.dropped is not None else [],
             wasted_cost_dollars=pool.wasted_cost_dollars,
             wasted_cost_by_shard=pool.wasted_cost_by_shard,
-            epochs_planned=epochs_planned,
+            epochs_planned=self.epochs_planned,
             prewarm_cost_dollars=pool.prewarm_cost_dollars,
-            tenant_in_flight_peaks=table.in_flight_peaks,
-            tenant_slos=dict(tenant_slo_map),
-            stream=report_stream,
+            tenant_in_flight_peaks=self.in_flight_peaks,
+            tenant_slos=dict(self.tenant_slo_map),
+            stream=self.stream,
         )
+
+    def make_arrival(self, position: int) -> _Arrival:
+        """The record of the merged stream's ``position``-th arrival."""
+        return _Arrival(
+            index=position,
+            tenant=self.tenant_names[self.tenant_index[position]],
+            event=TraceEvent(
+                arrival_s=float(self.times[position]),
+                query_id=self.query_ids[self.query_index[position]],
+                input_gb=float(self.input_gbs[position]),
+            ),
+        )
+
+    def epoch_tick(self) -> None:
+        simulator = self.simulator
+        planner = self.planner
+        self.pool.apply_plan(planner.on_epoch_end(self.pool, simulator.now))
+        self.epochs_planned += 1
+        next_end = simulator.now + planner.epoch_s
+        if next_end <= self.last_arrival_s:
+            simulator.schedule_at(next_end, self.epoch_tick)
+
+    # The adaptive coalescer is event-driven: each arrival either joins
+    # the open group (retries and gate re-admissions can join it too),
+    # opens a new one that closes after the tuner's *current* window, or
+    # -- when the window is 0 -- decides solo immediately (the
+    # break-even says a wait is not worth a shared pass right now).
+    # Static windows never call these handlers.
+
+    def on_arrival(self, arrival: _Arrival) -> None:
+        tuner = self.tuner
+        tuner.observe_arrival(arrival.event.arrival_s)
+        if self.open_group:
+            self.open_group.append(arrival)
+            return
+        window = tuner.window()
+        if window <= 0.0:
+            self.submit_group([arrival], decide_time=self.simulator.now)
+            return
+        self.open_group.append(arrival)
+        self.simulator.schedule(window, self.close_group)
+
+    def close_group(self) -> None:
+        group = list(self.open_group)
+        self.open_group.clear()
+        self.submit_group(group, decide_time=self.simulator.now)
+
+    # ------------------------------------------------------------------
+    # Admission
+    # ------------------------------------------------------------------
+
+    def admits(self, arrival: _Arrival, admitted_ahead: int) -> bool:
+        cap = self.registry.get(arrival.tenant).max_in_flight
+        if cap is None:
+            return True
+        return self.tenant_in_flight[arrival.tenant] + admitted_ahead < cap
+
+    def submit_group(self, group: list[_Arrival], decide_time: float) -> None:
+        admitted: list[_Arrival] = []
+        for arrival in group:
+            ahead = sum(1 for a in admitted if a.tenant == arrival.tenant)
+            if self.admits(arrival, ahead):
+                admitted.append(arrival)
+            else:
+                self.defer(arrival)
+        if admitted:
+            self.submit_batch(admitted, decide_time=decide_time)
+
+    def admit_next(self, tenant: str) -> None:
+        """A termination freed an in-flight slot; admit one waiter."""
+        queue = self.pending_admission.get(tenant)
+        if not queue or not self.admits(queue[0], 0):
+            return
+        arrival = queue.popleft()
+        now = self.simulator.now
+        st = self.states.get(arrival.index)
+        if st is not None:
+            # A retried arrival re-enters the gate: the wait since its
+            # resubmission is admission delay.
+            st.admission += now - st.basis
+            st.basis = now
+            self.enter(arrival)
+        elif self.tuner is not None and self.open_group:
+            # Adaptive coalescing: the freed slot lands while a sizing
+            # group is open -- join it and share the imminent forest
+            # pass instead of deciding solo.
+            st = self.states[arrival.index] = _ArrivalState()
+            st.admission = now - arrival.event.arrival_s
+            st.basis = now
+            self.open_group.append(arrival)
+        else:
+            self.submit_batch([arrival], decide_time=arrival.event.arrival_s)
+
+    def enter(self, arrival: _Arrival) -> None:
+        """Submit a retried/re-admitted arrival for sizing now."""
+        if self.tuner is not None and self.open_group:
+            self.open_group.append(arrival)
+            return
+        self.submit_batch([arrival], decide_time=self.simulator.now)
+
+    def defer(self, arrival: _Arrival) -> None:
+        """Queue at the admission gate, shedding over the bound."""
+        queue = self.pending_admission[arrival.tenant]
+        bound = self.serving.max_pending_admission
+        if bound is not None and len(queue) >= bound:
+            self.drop(arrival, "shed")
+            return
+        queue.append(arrival)
+
+    # ------------------------------------------------------------------
+    # Decide and launch
+    # ------------------------------------------------------------------
+
+    def submit_batch(self, batch: list[_Arrival], decide_time: float) -> None:
+        initializer = self.initializer
+        knob = self.knob
+        mode = self.mode
+        sizing_bounds = self.sizing_bounds
+        states = self.states
+        # Queries still queued or running when this batch decides are
+        # "waiting applications"; members of the batch additionally see
+        # the members ahead of them, exactly as if they had been
+        # submitted one after another at the same instant.
+        waiting_base = self.in_flight_total
+        queries = [
+            get_query(a.event.query_id, input_gb=a.event.input_gb)
+            for a in batch
+        ]
+        if self.serving.decision_reuse:
+            # Class-level reuse: arrivals of the same query class under
+            # a similar load octave share one grid decision until the
+            # model retrains.  Hits cost no forest pass
+            # (inference_seconds=0); misses batch through one vectorised
+            # decide_many call.
+            predictor = self.predictor
+            decision_cache = self.decision_cache
+            version = predictor.model_version
+            keys: list[tuple] = []
+            slots: list[tuple | None] = [None] * len(batch)
+            misses: list[int] = []
+            for position, arrival in enumerate(batch):
+                key = (
+                    predictor.query_class(
+                        arrival.event.query_id, arrival.event.input_gb
+                    ),
+                    (waiting_base + position).bit_length(),
+                    mode,
+                    sizing_bounds[arrival.tenant],
+                )
+                keys.append(key)
+                hit = decision_cache.get(key)
+                if hit is not None and hit[0] == version:
+                    # hit[3] is the pre-zeroed reuse decision built once
+                    # at insert time (hits cost no forest pass, so they
+                    # report inference_seconds=0); sharing one immutable
+                    # decision object across hits replaces a
+                    # per-arrival dataclasses.replace.
+                    slots[position] = (hit[1], hit[3])
+                else:
+                    misses.append(position)
+            if misses:
+                # One decide_many per distinct quota bound (a single
+                # unconstrained group when sizing ignores quotas).
+                miss_groups: dict[tuple, list[int]] = {}
+                for p in misses:
+                    miss_groups.setdefault(keys[p][3], []).append(p)
+                for (bound_vm, bound_sl), positions in miss_groups.items():
+                    fresh = initializer.decide_many(
+                        [queries[p] for p in positions],
+                        knob=knob,
+                        mode=mode,
+                        num_waiting_apps=waiting_base,
+                        max_vm=bound_vm,
+                        max_sl=bound_sl,
+                    )
+                    for p, (context, decision) in zip(positions, fresh):
+                        slots[p] = (context, decision)
+                        # Re-read the version: a retrain during decide
+                        # (alien-triggered) must not resurrect entries.
+                        decision_cache[keys[p]] = (
+                            predictor.model_version,
+                            context,
+                            decision,
+                            dataclasses.replace(
+                                decision, inference_seconds=0.0
+                            ),
+                        )
+            decided = slots
+        elif len(batch) == 1:
+            bound_vm, bound_sl = sizing_bounds[batch[0].tenant]
+            decided = [
+                initializer.decide(
+                    queries[0],
+                    knob=knob,
+                    mode=mode,
+                    num_waiting_apps=waiting_base,
+                    max_vm=bound_vm,
+                    max_sl=bound_sl,
+                )
+            ]
+        else:
+            batch_bounds = {sizing_bounds[a.tenant] for a in batch}
+            if len(batch_bounds) == 1:
+                bound_vm, bound_sl = next(iter(batch_bounds))
+                decided = initializer.decide_many(
+                    queries,
+                    knob=knob,
+                    mode=mode,
+                    num_waiting_apps=waiting_base,
+                    max_vm=bound_vm,
+                    max_sl=bound_sl,
+                )
+            else:
+                # Mixed quota bounds in one coalesced group: size per
+                # arrival so each query's grid honours its own tenant's
+                # cap (and its exact waiting count).
+                decided = [
+                    initializer.decide(
+                        query,
+                        knob=knob,
+                        mode=mode,
+                        num_waiting_apps=waiting_base + position,
+                        max_vm=sizing_bounds[arrival.tenant][0],
+                        max_sl=sizing_bounds[arrival.tenant][1],
+                    )
+                    for position, (arrival, query) in enumerate(
+                        zip(batch, queries)
+                    )
+                ]
+        if self.tuner is not None:
+            # Per-query inference_seconds amortise one pass equally, so
+            # their sum is the measured wall time of this pass.
+            self.tuner.observe_decision(
+                sum(decision.inference_seconds for _, decision in decided)
+            )
+        now = self.simulator.now
+        entries: list[tuple] = []
+        for offset, (arrival, query, (context, decision)) in enumerate(
+            zip(batch, queries, decided)
+        ):
+            st = states.get(arrival.index)
+            if st is None:
+                batching_delay = decide_time - arrival.event.arrival_s
+                admission_delay = 0.0
+                if now > decide_time:
+                    # Re-submitted through the admission gate: the wait
+                    # past the group's window close is admission delay.
+                    admission_delay = now - decide_time
+            else:
+                # Stateful arrivals accumulate spans from wherever
+                # attribution last stopped, so the components still sum
+                # to submit-time minus arrival-time.
+                st.batching += max(decide_time - st.basis, 0.0)
+                st.basis = decide_time
+                if now > decide_time:
+                    st.admission += now - decide_time
+                    st.basis = now
+                batching_delay = st.batching
+                admission_delay = st.admission
+            entries.append((
+                arrival,
+                query,
+                context,
+                decision,
+                waiting_base + offset,
+                len(batch),
+                batching_delay,
+                admission_delay,
+            ))
+        self.launch_group(entries)
+
+    def launch_group(self, entries: list[tuple]) -> None:
+        """Launch a decided group's arrivals (entry tuples).
+
+        ``submission="vector"`` runs every arrival through a compiled
+        :class:`PlanRunner` and leases the whole group through ONE
+        ``acquire_many`` pass; the other submissions start each arrival
+        with ``launch_query``.  Pool acquisition order is arrival order
+        either way.  Task-noise draws also stay in arrival order: the
+        duration model and the pool share no rng, so hoisting every
+        ``begin()`` ahead of its grant changes no stream.
+        """
+        pool = self.pool
+        duration_model = self.duration_model
+        states = self.states
+        policy_cache = self.policy_cache
+        vector = self.vector
+        feeds_arrivals = self.feeds_arrivals
+        observed: list[tuple[_Arrival, object]] = []
+        runners: list[PlanRunner] = []
+        requests: list[tuple] = []
+        noise_slices: list[list[float]] | None = None
+        if vector and len(entries) > 1:
+            # Draw ONE noise block for the group and hand each runner
+            # its slice: ``Generator.normal`` fills arrays sequentially
+            # from the bitstream, so a group-sized draw split in entry
+            # order is bitwise identical to per-runner draws.
+            sizes = [e[1].total_tasks for e in entries]
+            block = duration_model.noise_block(sum(sizes)).tolist()
+            noise_slices = []
+            offset = 0
+            for size in sizes:
+                noise_slices.append(block[offset:offset + size])
+                offset += size
+        for position, entry in enumerate(entries):
+            arrival, query, _context, decision = entry[:4]
+            index = arrival.index
+            st = states.get(index)
+            first_attempt = st is None or st.attempts == 0
+            shape = (decision.n_vm > 0, decision.n_sl > 0)
+            policy = policy_cache.get(shape)
+            if policy is None:
+                policy = policy_cache[shape] = (
+                    self.initializer.execution_policy(
+                        decision.n_vm, decision.n_sl
+                    )
+                )
+            self.register(index, entry)
+            # SLO tiers: the deadline is anchored at the *arrival*
+            # (retries keep the original promise), and only batch-tier
+            # work is launched preemptible -- an interactive query is
+            # never a preemption victim.
+            slo = self.tenant_slo_map.get(arrival.tenant)
+            deadline = (
+                arrival.event.arrival_s + slo if slo is not None else None
+            )
+            if vector:
+                plan = self.plans.get(id(query))
+                if plan is None:
+                    plan = self.plans[id(query)] = StagePlan(
+                        query, duration_model
+                    )
+                holder = PlanRunner(
+                    plan,
+                    pool,
+                    duration_model,
+                    policy,
+                    tenant=arrival.tenant,
+                    on_complete=functools.partial(self.complete, index),
+                    on_failed=functools.partial(self.fail, index),
+                )
+                requests.append(holder.begin(
+                    decision.n_vm,
+                    decision.n_sl,
+                    None if noise_slices is None else noise_slices[position],
+                    deadline_s=deadline,
+                ))
+                runners.append(holder)
+            else:
+                holder = launch_query(
+                    query,
+                    n_vm=decision.n_vm,
+                    n_sl=decision.n_sl,
+                    pool=pool,
+                    policy=policy,
+                    duration_model=duration_model,
+                    presample=self.presample,
+                    on_complete=functools.partial(self.complete, index),
+                    on_failed=functools.partial(self.fail, index),
+                    tenant=arrival.tenant,
+                    deadline_s=deadline,
+                    preemptible=(
+                        self.preempt_enabled
+                        and self.tenant_tiers.get(arrival.tenant, "batch")
+                        == "batch"
+                    ),
+                )
+            if feeds_arrivals and first_attempt:
+                observed.append((arrival, holder))
+        if vector:
+            # Binding after the batch is safe: revocation can only fire
+            # from a *future* simulator event.
+            for runner, lease in zip(runners, pool.acquire_many(requests)):
+                runner.bind(lease)
+        for arrival, holder in observed:
+            # The lease is routed (and, when capacity allows -- stealing
+            # included -- granted) synchronously inside the acquire, so
+            # lease.shard is the serving shard for every immediate grant.
+            # A lease that *queues* and is later stolen observes its
+            # routed home instead: the shard the affinity policy wanted
+            # its warmth on.  Feeding after the loop is equivalent to
+            # feeding between acquires: nothing in the pool reads the
+            # forecaster synchronously.
+            class_key = self.predictor.query_class(
+                arrival.event.query_id, arrival.event.input_gb
+            )
+            lease = holder.lease
+            for observer in self.forecast_observers:
+                observer.observe_arrival(
+                    class_key, arrival.event.arrival_s, scope=lease.shard
+                )
+            if self.planner is not None:
+                # The epoch records the *granted* worker counts (the
+                # lease's, capacity/quota-clamped), not the decided
+                # ones: forecasting clamped demand would re-amplify
+                # exactly what the pool refused to grant.
+                self.planner.observe_arrival(
+                    arrival.tenant,
+                    class_key,
+                    arrival.event.input_gb,
+                    shard=lease.shard,
+                    n_vm=lease.n_vm,
+                    n_sl=lease.n_sl,
+                )
+
+    # ------------------------------------------------------------------
+    # Terminations
+    # ------------------------------------------------------------------
+
+    def register(self, index: int, entry: tuple) -> None:
+        self.entries[index] = entry
+        self.in_flight_total += 1
+        tenant = entry[0].tenant
+        count = self.tenant_in_flight[tenant] + 1
+        self.tenant_in_flight[tenant] = count
+        if count > self.in_flight_peaks.get(tenant, 0):
+            self.in_flight_peaks[tenant] = count
+
+    def complete(self, index: int, holder) -> None:
+        """``on_complete`` of arrival ``index``'s runner or execution
+        (both expose ``result`` and ``lease``)."""
+        result = holder.result
+        lease = holder.lease
+        (arrival, query, context, decision, waiting, batch_size,
+         batching_delay, admission_delay) = self.entries.pop(index)
+        self.in_flight_total -= 1
+        self.tenant_in_flight[arrival.tenant] -= 1
+        st = self.states.pop(index, None)
+        assert result is not None
+        outcome = self.initializer.finalize(
+            query,
+            context,
+            decision,
+            result,
+            # A clamped lease executed a different configuration than
+            # predicted -- and a preempted query's wall time includes a
+            # checkpoint/requeue detour; either way the error says
+            # nothing about the model (the run itself still feeds the
+            # history).
+            observe_error=(
+                not lease.was_clamped
+                and getattr(result, "n_preemptions", 0) == 0
+            ),
+        )
+        for policy in self.duration_observers:
+            policy.observe_duration(outcome.actual_seconds)
+        if self.planner is not None:
+            self.planner.observe_duration(outcome.actual_seconds)
+        n_retries = st.retries if st is not None else 0
+        # Wasted spend has two sources: failed attempts booked on the
+        # arrival state, and cooperative preemptions carried on the
+        # result itself (the preempted attempt's forfeited lease bill).
+        wasted = (st.wasted if st is not None else 0.0) + getattr(
+            result, "wasted_cost_dollars", 0.0
+        )
+        retry_delay = st.retry_delay if st is not None else 0.0
+        # Same term order as ServedQuery.latency_s, so the buffered
+        # value is bit-identical to the record's.
+        latency = (
+            admission_delay
+            + batching_delay
+            + retry_delay
+            + result.queueing_delay_s
+            + outcome.actual_seconds
+        )
+        self.rows.append(_completion_row(
+            latency, result.queueing_delay_s, admission_delay,
+            result.quota_delay_s, outcome, batch_size, n_retries, wasted,
+        ))
+        self.row_tenants.append(arrival.tenant)
+        if len(self.rows) >= self._FLUSH_EVERY:
+            self.flush()
+        if self.served is not None:
+            self.served[arrival.index] = ServedQuery(
+                arrival_s=arrival.event.arrival_s,
+                outcome=outcome,
+                waiting_apps_at_submit=waiting,
+                queueing_delay_s=result.queueing_delay_s,
+                decision_batch_size=batch_size,
+                batching_delay_s=batching_delay,
+                tenant=arrival.tenant,
+                admission_delay_s=admission_delay,
+                quota_delay_s=result.quota_delay_s,
+                n_retries=n_retries,
+                wasted_cost_dollars=wasted,
+                retry_delay_s=retry_delay,
+            )
+        self.n_terminated += 1
+        self.admit_next(arrival.tenant)
+
+    def fail(self, index: int, holder, reason: str) -> None:
+        """``on_failed`` of arrival ``index``'s runner or execution.
+
+        A lease revocation killed this attempt mid-flight.  The partial
+        spend it forfeited is already in the pool's wasted ledger;
+        mirror it per arrival so the chargeback attributes it to the
+        owning tenant.  The failed attempt never reaches ``finalize``:
+        aborted runs must not feed the model's history.
+        """
+        (arrival, _query, _context, _decision, _waiting, _batch_size,
+         batching_delay, admission_delay) = self.entries.pop(index)
+        self.in_flight_total -= 1
+        self.tenant_in_flight[arrival.tenant] -= 1
+        st = self.states.get(index)
+        if st is None:
+            st = self.states[index] = _ArrivalState()
+            st.admission = admission_delay
+            st.batching = batching_delay
+        st.attempts += 1
+        st.wasted += holder.lease.revoked_cost.total
+        self.handle_failure(arrival, st)
+        self.admit_next(arrival.tenant)
+
+    def handle_failure(self, arrival: _Arrival, st: _ArrivalState) -> None:
+        """Retry (after a backoff) or drop a failed attempt's arrival."""
+        retry_policy = self.serving.retry_policy
+        if (
+            retry_policy is not None
+            and st.attempts <= retry_policy.max_retries
+        ):
+            # The same stateless hash-uniform scheme the injector uses:
+            # backoff jitter is reproducible per (arrival, attempt) and
+            # independent of event interleaving.
+            key = f"{self.fault_seed}|retry|{arrival.index}|{st.attempts}"
+            u = (zlib.crc32(key.encode("utf-8")) + 0.5) / 2**32
+            self.simulator.schedule(
+                retry_policy.backoff(st.attempts, u),
+                functools.partial(self.resubmit, arrival),
+            )
+        else:
+            self.drop(arrival, "failed")
+
+    def resubmit(self, arrival: _Arrival) -> None:
+        """The backoff expired: route the retry back through admission,
+        the quota gate and the coalescer."""
+        now = self.simulator.now
+        st = self.states[arrival.index]
+        st.retries += 1
+        # Cumulative by construction: total elapsed minus what the other
+        # components already claimed.
+        st.retry_delay = (
+            now - arrival.event.arrival_s - st.admission - st.batching
+        )
+        st.basis = now
+        if self.admits(arrival, 0):
+            self.enter(arrival)
+        else:
+            self.defer(arrival)
+
+    def drop(self, arrival: _Arrival, reason: str) -> None:
+        """Terminate an arrival without serving it (loudly counted)."""
+        st = self.states.pop(arrival.index, None)
+        record = DroppedQuery(
+            arrival_s=arrival.event.arrival_s,
+            query_id=arrival.event.query_id,
+            tenant=arrival.tenant,
+            reason=reason,
+            n_retries=st.retries if st is not None else 0,
+            wasted_cost_dollars=st.wasted if st is not None else 0.0,
+        )
+        self.stream.observe_drop(record)
+        self.n_terminated += 1
+        if self.dropped is not None:
+            self.dropped.append(record)
+
+    def flush(self) -> None:
+        """Drain the buffered completion rows into the stream."""
+        if not self.rows:
+            return
+        self.stream.observe_columns(
+            self.row_tenants, np.array(self.rows, dtype=np.float64)
+        )
+        self.rows = []
+        self.row_tenants = []

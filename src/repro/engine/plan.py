@@ -31,7 +31,12 @@ rng stream bitwise-identically to ``n`` scalar draws, so this matches a
 presampling :class:`TaskScheduler` (``presample=True``) bit for bit.
 It intentionally differs from the default scalar convention, where
 draws interleave globally across in-flight queries in task-start order;
-that is why the fast path is opt-in (``submission="vector"``).
+that is why the fast path is opt-in (``submission="vector"``).  Under it
+serving runs every arrival through a ``PlanRunner`` and never through
+the per-task scheduler: the policies serving picks (relay and
+run-to-completion) are exactly those :func:`plan_supports` accepts, and
+a runner given any other policy raises ``ValueError`` instead of
+silently dropping its timeout semantics.
 
 Event-order fidelity vs the presampling event engine: within a query,
 every event is scheduled in local-chronological order, and relay SLs
@@ -148,7 +153,8 @@ class PlanRunner:
     completion events; ``bind(lease)`` wires revocation.  On completion
     ``on_complete(runner)`` fires with :attr:`result` set; on a fault
     revocation every scheduled event is cancelled and
-    ``on_failed(runner, reason)`` fires instead.
+    ``on_failed(runner, reason)`` fires instead.  A ``policy`` that
+    :func:`plan_supports` rejects raises ``ValueError``.
     """
 
     __slots__ = (
@@ -183,6 +189,12 @@ class PlanRunner:
         on_complete: Callable[["PlanRunner"], None] | None = None,
         on_failed: Callable[["PlanRunner", str], None] | None = None,
     ) -> None:
+        if not plan_supports(policy):
+            raise ValueError(
+                f"a compiled plan cannot run {policy.describe()}: static "
+                "timeouts and drained-instance holds need the per-task "
+                "scheduler (launch_query)"
+            )
         self.plan = plan
         self.pool = pool
         self.duration_model = duration_model
@@ -220,8 +232,7 @@ class PlanRunner:
     ) -> tuple:
         """Record submission and draw the noise block; returns the
         ``(n_vm, n_sl, on_instance_ready, on_granted, tenant,
-        deadline_s)`` request for :meth:`ClusterPool.acquire_many` /
-        :meth:`ClusterPool.acquire`.
+        deadline_s)`` request for :meth:`ClusterPool.acquire_many`.
 
         ``noise`` lets a batch submitter pre-draw one combined block for
         several runners and hand each its slice: ``Generator.normal``
@@ -244,21 +255,6 @@ class PlanRunner:
             ).tolist()
         self._noise = noise
         return (n_vm, n_sl, None, self._on_granted, self.tenant, deadline_s)
-
-    def submit(self, n_vm: int, n_sl: int) -> "PoolLease":
-        """Convenience single-arrival path: begin + acquire + bind."""
-        (n_vm_, n_sl_, on_ready, on_granted, tenant,
-         deadline_s) = self.begin(n_vm, n_sl)
-        lease = self.pool.acquire(
-            n_vm_,
-            n_sl_,
-            on_instance_ready=on_ready,
-            on_granted=on_granted,
-            tenant=tenant,
-            deadline_s=deadline_s,
-        )
-        self.bind(lease)
-        return lease
 
     def bind(self, lease: "PoolLease") -> None:
         """Wire revocation on the granted-or-queued lease."""

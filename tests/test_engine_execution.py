@@ -12,8 +12,11 @@ from repro.engine import (
     SegueTimeoutPolicy,
     run_query,
 )
+from repro.engine.plan import PlanRunner, StagePlan
 from repro.engine.task import TaskDurationModel
 from repro.workloads import get_query, make_uniform_query
+
+from conftest import build_pool
 
 AWS = get_provider("aws").with_noise_sigma(0.0)
 AWS55 = AWS.with_boot_seconds(55.0)
@@ -142,6 +145,18 @@ class TestSegueing:
             query, 2, 2, provider=AWS55, policy=SegueTimeoutPolicy(10.0), rng=9
         )
         assert result.metrics.tasks_completed == 100
+
+    def test_plan_runner_rejects_segueing(self):
+        # A compiled plan releases SLs as it retires them; it cannot hold
+        # them to a static timeout, so it refuses the policy instead of
+        # silently running it as relay.
+        model = TaskDurationModel(provider=AWS, rng=0)
+        plan = StagePlan(make_uniform_query(10, 4.0), model)
+        pool = build_pool()
+        with pytest.raises(ValueError, match="segueing"):
+            PlanRunner(plan, pool, model, SegueTimeoutPolicy(10.0))
+        for policy in (RelayPolicy(), NoEarlyTermination()):
+            assert PlanRunner(plan, pool, model, policy).policy is policy
 
 
 class TestCostAccounting:

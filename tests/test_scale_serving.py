@@ -215,8 +215,23 @@ class TestEngineEquivalence:
 #: reference cycle once a replay returns.
 _REPLAY_STATE_TYPES = {
     "ClusterPool", "Simulator", "PoolLease", "EventHandle", "PlanRunner",
-    "QueryExecution", "TaskScheduler", "_CompletionTable",
+    "QueryExecution", "TaskScheduler", "_Replay",
 }
+
+
+def _contended_kwargs() -> dict:
+    """Planner epochs, chaos retries and deadline-ordered grants with
+    preemption on a pool small enough to queue, for an SLO tenant."""
+    return {
+        "pool_config": PoolConfig(max_vms=4, max_sls=4),
+        "planner": FleetPlanner(epoch_s=30.0),
+        "fault_plan": make_chaos_plan("moderate", seed=3),
+        "retry_policy": RetryPolicy(8, backoff_base_s=3.0),
+        "grant_policy": DeadlineAwareGrant(preempt=True),
+        "tenants": TenantRegistry(
+            [TenantSpec("default", slo_latency_s=60.0)]
+        ),
+    }
 
 
 class TestReplayMemory:
@@ -244,18 +259,7 @@ class TestReplayMemory:
         trace = make_trace(n_minutes=3.0)
         kwargs = {"pool_config": PoolConfig(max_vms=16, max_sls=16)}
         if contended:
-            # Planner epochs, chaos retries and deadline-ordered grants
-            # on a pool small enough to queue.
-            kwargs = {
-                "pool_config": PoolConfig(max_vms=4, max_sls=4),
-                "planner": FleetPlanner(epoch_s=30.0),
-                "fault_plan": make_chaos_plan("moderate", seed=3),
-                "retry_policy": RetryPolicy(8, backoff_base_s=3.0),
-                "grant_policy": DeadlineAwareGrant(preempt=True),
-                "tenants": TenantRegistry(
-                    [TenantSpec("default", slo_latency_s=60.0)]
-                ),
-            }
+            kwargs = _contended_kwargs()
         gc.collect()
         gc.disable()
         try:
@@ -273,6 +277,24 @@ class TestReplayMemory:
             gc.garbage.clear()
             gc.enable()
         assert sorted(cyclic & _REPLAY_STATE_TYPES) == []
+
+    def test_vector_replay_never_launches_per_query(self, monkeypatch):
+        # Every termination policy serving picks is one a compiled plan
+        # runs, so vector submission never reaches ``launch_query`` --
+        # not under queueing, retries, epochs or preemptive grants.
+        def refuse(*args, **kwargs):
+            raise AssertionError("vector submission called launch_query")
+
+        monkeypatch.setattr("repro.core.serving.launch_query", refuse)
+        report = ServingSimulator(
+            build_uniform_system(),
+            submission="vector",
+            **_contended_kwargs(),
+        ).replay(make_trace(n_minutes=3.0))
+        assert report.n_queries > 0
+        assert report.pool_stats.leases_queued > 0
+        assert report.n_retries_total > 0
+        assert report.epochs_planned > 0
 
 
 class TestStreamingReports:
