@@ -153,7 +153,7 @@ def build_simulator(
         slo_seconds=SLO_SECONDS,
         # Sized for the trace's burst peaks: the bench measures replay
         # throughput, not capacity queueing (vm-only serving keeps the
-        # warm-start economics simple, as in bench_autoscaler).
+        # warm-start economics simple: no relay-bridged SL cold boots).
         pool_config=PoolConfig(max_vms=4096, max_sls=0),
         autoscaler=FixedKeepAlive(30.0, 7.5),
         submission=submission,

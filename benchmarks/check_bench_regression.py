@@ -33,28 +33,14 @@ DEFAULT_COMMITTED = os.path.join(
     os.path.dirname(os.path.abspath(__file__)), "..", "BENCH_inference.json"
 )
 
-#: Metric keys treated as higher-is-better speedup ratios.  The chaos
-#: bench's reliability metrics (availability in [0, 1], cost_efficiency
-#: as baseline-over-retry cost) band the same way: simulation-
-#: deterministic, so they transfer across runners exactly.
+#: Metric keys treated as higher-is-better speedup ratios.
 _SPEEDUP_KEYS = (
     "speedup",
     "decision_speedup",
-    "availability",
-    "cost_efficiency",
     # bench_scale: vectorized submission core vs per-query columnar, and
     # the adaptive-window leg vs the per-query baseline.
     "vector_speedup",
     "adaptive_speedup",
-    # bench_slo: interactive SLO attainment under deadline-aware grants
-    # (in [0, 1], simulation-deterministic; cost_efficiency above covers
-    # the fair-over-slo cost ratio).
-    "interactive_attainment",
-    # bench_planner: planner-over-best-reactive warm-start and tail-
-    # queueing ratios (simulation-deterministic; cost_efficiency above
-    # covers the best-over-planner cost ratio).
-    "warm_start_uplift",
-    "queueing_improvement",
     # bench_inference: solo determine, table-driven vs per-probe loop
     # (per grid under solo_determine).
     "determine_speedup",
