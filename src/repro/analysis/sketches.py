@@ -246,11 +246,6 @@ class ReservoirQuantiles:
         estimate = float(np.percentile(np.asarray(self._sample), q))
         return min(max(estimate, self._min), self._max)
 
-    def mean_of_sample(self) -> float:
-        if not self._count:
-            raise ValueError("empty sketch has no mean")
-        return float(np.mean(np.asarray(self._sample)))
-
     # ------------------------------------------------------------------
     # Merge
     # ------------------------------------------------------------------

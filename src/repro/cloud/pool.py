@@ -649,14 +649,6 @@ class PoolLease:
     # Billing
     # ------------------------------------------------------------------
 
-    def used_serverless(self) -> bool:
-        """Whether any SL executed work during this lease."""
-        return any(
-            segment.kind is InstanceKind.SERVERLESS
-            and segment.tasks_executed > 0
-            for segment in self.segments
-        )
-
     def cost_report(
         self, query_duration: float, prices: PriceBook
     ) -> CostBreakdown:
@@ -1285,16 +1277,6 @@ class ClusterPool:
         """Forfeited spend per shard (sums to the pool's wasted cost)."""
         return {
             name: shard.wasted_cost.total
-            for name, shard in self._shards.items()
-        }
-
-    def recent_shard_faults(self, window_s: float) -> dict[str, int]:
-        """Injected kills per shard over the trailing ``window_s``."""
-        if window_s <= 0:
-            raise ValueError("window_s must be positive")
-        horizon = self.simulator.now - window_s
-        return {
-            name: sum(1 for t in shard.fault_times if t >= horizon)
             for name, shard in self._shards.items()
         }
 

@@ -54,7 +54,7 @@ from repro.cloud.pool import (
     ShardRouter,
     capable_shards,
 )
-from repro.core.forecast import break_even_s
+from repro.core.forecast import DURATION_EWMA_ALPHA, break_even_s
 
 __all__ = [
     "EpochForecast",
@@ -150,13 +150,6 @@ class WorkloadEpoch:
             for key, value in theirs.items():
                 target[key] = target.get(key, 0) + value
         return merged
-
-    @property
-    def arrival_rate(self) -> float:
-        """Arrivals per second over the window (0 for an empty window)."""
-        if self.duration_s <= 0.0:
-            return 0.0
-        return self.n_arrivals / self.duration_s
 
     def describe(self) -> str:
         return (
@@ -375,15 +368,6 @@ class PoolPlan:
     grant_policy: GrantPolicy | None = None
     shard_autoscalers: Mapping[str, AutoscalerPolicy] | None = None
 
-    @property
-    def is_empty(self) -> bool:
-        return (
-            not self.shard_capacity
-            and not self.prewarm
-            and self.grant_policy is None
-            and not self.shard_autoscalers
-        )
-
 
 class FleetPlanner:
     """Forecast-sized proactive provisioning, one decision per epoch.
@@ -428,7 +412,6 @@ class FleetPlanner:
         prewarm_keep_alive_s: float | None = None,
         capacity_limits: Mapping[str, tuple[int, int]] | None = None,
         grant_policy: GrantPolicy | None = None,
-        duration_alpha: float = 0.3,
         keep_alive_margin: float | None = None,
         max_keep_alive_s: float = 600.0,
     ) -> None:
@@ -440,8 +423,6 @@ class FleetPlanner:
             raise ValueError("pre-warm caps must be non-negative")
         if prewarm_keep_alive_s is not None and prewarm_keep_alive_s <= 0.0:
             raise ValueError("prewarm_keep_alive_s must be positive")
-        if not 0.0 < duration_alpha <= 1.0:
-            raise ValueError("duration_alpha must be in (0, 1]")
         if keep_alive_margin is not None and keep_alive_margin <= 0.0:
             raise ValueError("keep_alive_margin must be positive")
         if max_keep_alive_s <= 0.0:
@@ -454,7 +435,6 @@ class FleetPlanner:
         self.prewarm_keep_alive_s = prewarm_keep_alive_s
         self.capacity_limits = dict(capacity_limits or {})
         self.grant_policy = grant_policy
-        self.duration_alpha = duration_alpha
         self.keep_alive_margin = keep_alive_margin
         self.max_keep_alive_s = max_keep_alive_s
         self._epoch: WorkloadEpoch | None = None
@@ -480,7 +460,6 @@ class FleetPlanner:
             prewarm_keep_alive_s=self.prewarm_keep_alive_s,
             capacity_limits=self.capacity_limits,
             grant_policy=self.grant_policy,
-            duration_alpha=self.duration_alpha,
             keep_alive_margin=self.keep_alive_margin,
             max_keep_alive_s=self.max_keep_alive_s,
         )
@@ -517,7 +496,7 @@ class FleetPlanner:
         if self._duration_ewma is None:
             self._duration_ewma = seconds
         else:
-            self._duration_ewma += self.duration_alpha * (
+            self._duration_ewma += DURATION_EWMA_ALPHA * (
                 seconds - self._duration_ewma
             )
 

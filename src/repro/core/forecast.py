@@ -78,6 +78,12 @@ def break_even_s(
     )
     return boot_gap + pool.prices.sl_invocation / pool.prices.sl_per_second
 
+#: Smoothing factor of the observed-query-duration EWMA shared by
+#: :class:`PredictiveKeepAlive` and :class:`repro.core.epochs.FleetPlanner`:
+#: responsive to workload shifts without letting one outlier swing the
+#: estimate.
+DURATION_EWMA_ALPHA = 0.3
+
 #: Cap on distinct query-class meters kept per forecast scope; overflow
 #: evicts the class with the oldest last arrival (the most stale, hence
 #: the least able to ever contribute a forecast again).
@@ -308,10 +314,9 @@ class PredictiveKeepAlive(AutoscalerPolicy):
     def observe_duration(self, seconds: float) -> None:
         """Feed one completed query's duration into the smoothed estimate.
 
-        An EWMA (alpha 0.3, matching the forecaster's default) keeps the
-        estimate responsive to workload shifts without letting a single
-        outlier swing the park bound.  Non-positive durations are
-        ignored.  Only consulted when ``duration_fraction > 0``.
+        An EWMA (:data:`DURATION_EWMA_ALPHA`) smooths the estimate.
+        Non-positive durations are ignored.  Only consulted when
+        ``duration_fraction > 0``.
         """
         seconds = float(seconds)
         if seconds <= 0.0:
@@ -319,7 +324,9 @@ class PredictiveKeepAlive(AutoscalerPolicy):
         if self._duration_ewma is None:
             self._duration_ewma = seconds
         else:
-            self._duration_ewma += 0.3 * (seconds - self._duration_ewma)
+            self._duration_ewma += DURATION_EWMA_ALPHA * (
+                seconds - self._duration_ewma
+            )
 
     @property
     def duration_estimate_s(self) -> float | None:
@@ -493,11 +500,6 @@ class AdaptiveBatchWindow:
     def gap_s(self) -> float | None:
         """The smoothed inter-arrival gap (None before two arrivals)."""
         return self._gap_ewma
-
-    @property
-    def decision_s(self) -> float | None:
-        """The smoothed per-pass decision latency (None before a pass)."""
-        return self._decision_ewma
 
     def window(self) -> float:
         """The coalescing window for the next group (0 = decide solo)."""

@@ -20,6 +20,7 @@ Four layers pin the planner stack:
 
 from __future__ import annotations
 
+import inspect
 import math
 
 import pytest
@@ -28,6 +29,7 @@ from hypothesis import strategies as st
 
 from repro.cloud.instances import InstanceKind
 from repro.cloud.pool import (
+    DeadlineAwareGrant,
     PoolConfig,
     TenantRegistry,
     TenantSpec,
@@ -512,3 +514,87 @@ class TestPlannerEndToEnd:
             + report.keepalive_cost_dollars
             + report.wasted_cost_dollars
         )
+
+
+# ---------------------------------------------------------------------------
+# fresh(): the configuration carries over, learned state does not
+# ---------------------------------------------------------------------------
+
+def _state(obj) -> dict:
+    """Every attribute of ``obj``, nested forecasters expanded."""
+    return {
+        name: _state(value) if isinstance(value, EpochForecaster) else value
+        for name, value in vars(obj).items()
+    }
+
+
+class TestFresh:
+    """Serving starts every replay from ``planner.fresh()``, so a planner
+    reused across replays must not leak one replay's observations into
+    the next."""
+
+    FORECASTER = dict(
+        alpha=0.25, season_length=3, seasonal_weight=0.8, history=7
+    )
+
+    def _planner_kwargs(self) -> dict:
+        return dict(
+            epoch_s=120.0,
+            forecaster=EpochForecaster(**self.FORECASTER),
+            headroom=2.5,
+            max_prewarm_vms=3,
+            max_prewarm_sls=5,
+            prewarm_keep_alive_s=90.0,
+            capacity_limits={"a": (6, 4)},
+            grant_policy=DeadlineAwareGrant(),
+            keep_alive_margin=4.0,
+            max_keep_alive_s=240.0,
+        )
+
+    @pytest.mark.parametrize("cls", [EpochForecaster, FleetPlanner])
+    def test_every_parameter_is_set_off_default(self, cls):
+        # A constructor parameter that fresh() forgot to pass would fall
+        # back to its default; setting each one off its default makes
+        # that visible below.
+        kwargs = (
+            self.FORECASTER if cls is EpochForecaster
+            else self._planner_kwargs()
+        )
+        parameters = inspect.signature(cls).parameters
+        assert kwargs.keys() == parameters.keys()
+        for name, parameter in parameters.items():
+            assert kwargs[name] != parameter.default, name
+
+    def test_fresh_forecaster_matches_a_new_one(self):
+        forecaster = EpochForecaster(**self.FORECASTER)
+        for n in (3, 9, 4):
+            epoch = WorkloadEpoch(duration_s=60.0)
+            for _ in range(n):
+                epoch.observe("t", "q", 8.0, shard="a", n_vm=1, n_sl=1)
+            forecaster.observe(epoch)
+        assert forecaster.n_observed == 3
+        fresh = forecaster.fresh()
+        assert _state(fresh) == _state(EpochForecaster(**self.FORECASTER))
+        assert fresh.forecast() is None
+
+    def test_fresh_planner_matches_a_new_one(self):
+        kwargs = self._planner_kwargs()
+        planner = FleetPlanner(**kwargs)
+        pool = build_pool(
+            Simulator(), shards={"a": PoolConfig(max_vms=4, max_sls=4)}
+        )
+        planner.begin(0.0)
+        for now in (120.0, 240.0):
+            for _ in range(12):
+                planner.observe_arrival(
+                    "t", "q", 8.0, shard="a", n_vm=1, n_sl=0
+                )
+            planner.observe_duration(30.0)
+            planner.on_epoch_end(pool, now)
+        assert planner.epochs_closed == 2
+        fresh = planner.fresh()
+        assert fresh.forecaster is not planner.forecaster
+        untrained = FleetPlanner(
+            **{**kwargs, "forecaster": EpochForecaster(**self.FORECASTER)}
+        )
+        assert _state(fresh) == _state(untrained)
