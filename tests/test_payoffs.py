@@ -515,7 +515,9 @@ def test_epoch_planner_beats_best_reactive(size):
             rel=1e-9,
             abs=1e-12,
         ), name
-        assert report.prewarm_cost_dollars <= report.keepalive_cost_dollars
+        assert (
+            report.prewarm_cost_dollars <= report.keepalive_cost_dollars
+        ), name
     best, planner = reports[best_reactive(reports)], reports["planner"]
     assert planner.warm_start_rate > best.warm_start_rate
     assert (
