@@ -331,10 +331,9 @@ def headline(scenario: str, reports: dict) -> dict[str, float]:
     """The scenario's headline ratios, keyed by their dotted path."""
     if scenario == "chaos":
         return {
-            **{
-                f"arms.{name}.availability": reports[name].availability
-                for name in ("baseline", "naive", "retry")
-            },
+            "arms.baseline.availability": reports["baseline"].availability,
+            "arms.naive.availability": reports["naive"].availability,
+            "arms.retry.availability": reports["retry"].availability,
             "retry_vs_naive.availability": reports["retry"].availability,
             "retry_vs_naive.cost_efficiency": (
                 _cents(reports["baseline"]) / _cents(reports["retry"])
