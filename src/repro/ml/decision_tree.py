@@ -17,6 +17,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.ml import forest_native
+
 __all__ = ["DecisionTreeRegressor"]
 
 _NO_CHILD = -1
@@ -82,6 +84,14 @@ class DecisionTreeRegressor:
     rng:
         Random generator used for feature sub-sampling.  Only consulted when
         ``max_features`` actually restricts the candidate set.
+
+    ``fit`` grows the whole tree in one call to the native ``cart_grow``
+    kernel (:mod:`repro.ml.forest_native`) when the kernel is loaded, every
+    split scores every feature, and features and targets are all finite.
+    The numpy grower (:meth:`_grow`) runs otherwise: with
+    ``REPRO_DISABLE_NATIVE=1`` or no C compiler, under feature
+    sub-sampling (its ``rng`` draws stay in numpy's order), or on NaN or
+    infinite inputs.  Both engines build bitwise identical trees.
     """
 
     def __init__(
@@ -124,11 +134,50 @@ class DecisionTreeRegressor:
             raise ValueError("cannot fit a tree on zero samples")
 
         self._n_features = features.shape[1]
+        kernel = forest_native.load_kernel()
+        if (
+            kernel is not None
+            and self._examines_every_feature()
+            and np.isfinite(features).all()
+            and np.isfinite(targets).all()
+        ):
+            self._buffers = self._grow_native(kernel, features, targets)
+            return self
         self._buffers = _TreeBuffers()
         indices = np.arange(features.shape[0])
         self._grow(features, targets, indices, depth=0)
         self._buffers.trim()
         return self
+
+    def _examines_every_feature(self) -> bool:
+        """Whether every split scores every feature, drawing nothing."""
+        try:
+            return self._n_split_candidates() >= self._n_features
+        except ValueError:
+            return False  # the numpy grower raises at the first split
+
+    def _grow_native(
+        self, kernel, features: np.ndarray, targets: np.ndarray
+    ) -> _TreeBuffers:
+        """The whole tree in one ``cart_grow`` call, bitwise :meth:`_grow`'s."""
+        n_rows, n_features = features.shape
+        buffers = _TreeBuffers(2 * n_rows - 1)
+        count = kernel.cart_grow(
+            np.ascontiguousarray(features.T),
+            np.ascontiguousarray(targets),
+            n_rows,
+            n_features,
+            -1 if self.max_depth is None else self.max_depth,
+            self.min_samples_split,
+            self.min_samples_leaf,
+            buffers.feature, buffers.threshold, buffers.left, buffers.right,
+            buffers.value, buffers.n_samples, buffers.impurity,
+        )
+        if count < 0:
+            raise MemoryError("cart_grow could not allocate its scratch")
+        buffers.count = count
+        buffers.trim()
+        return buffers
 
     def _n_split_candidates(self) -> int:
         assert self._n_features is not None

@@ -38,6 +38,18 @@ observation (the Schur complement, one GEMV row and the three moment
 updates), recomputes the posterior mean and standard deviation, and
 computes the unprobed candidates' Probability of Improvement z-scores --
 all in one call on buffers the caller allocated once (:data:`BO_STATE`).
+
+A fourth, ``cart_grow``, grows one whole tree of
+:class:`~repro.ml.decision_tree.DecisionTreeRegressor` when every split
+scores every feature.  It is bitwise the numpy grower's tree because it
+repeats numpy's arithmetic rather than approximating it: each feature is
+presorted once with a stable merge sort (ties keep row order, as
+``argsort(kind="mergesort")`` keeps them) and every split partitions
+those orders stably instead of sorting again; node means and variances
+use a C copy of numpy's pairwise summation (a plain loop below 8 values,
+eight accumulators up to 128, above that a split at ``n/2`` rounded down
+to a multiple of 8); and splits are scored in ``_find_split``'s exact
+operation order with ``argmax``'s first-maximum-or-first-NaN rule.
 """
 
 from __future__ import annotations
@@ -337,10 +349,11 @@ typedef struct {
 } BoState;
 
 /* np.add.reduce over a contiguous float64 vector, operation for
- * operation (numpy's pairwise summation: eight accumulators up to 128
- * elements, halving above), so the target normalisation is bitwise the
- * numpy posterior's. */
-static double bo_pairwise_sum(const double *a, int64_t n)
+ * operation (numpy's pairwise summation: a plain loop below 8 elements,
+ * eight accumulators up to 128, above that split at n/2 rounded down to
+ * a multiple of 8), so the BO target normalisation and the CART node
+ * moments are bitwise numpy's. */
+static double pairwise_sum(const double *a, int64_t n)
 {
     if (n < 8) {
         double res = 0.0;
@@ -360,7 +373,7 @@ static double bo_pairwise_sum(const double *a, int64_t n)
     }
     int64_t half = n / 2;
     half -= half % 8;
-    return bo_pairwise_sum(a, half) + bo_pairwise_sum(a + half, n - half);
+    return pairwise_sum(a, half) + pairwise_sum(a + half, n - half);
 }
 
 /* One probe.  With index >= 0, condition on `value` observed at
@@ -414,12 +427,12 @@ int64_t bo_step(BoState *s, int64_t mode)
 
     double center = 0.0, scale = 1.0;
     if (size > 0) {
-        center = bo_pairwise_sum(s->targets, size) / (double)size;
+        center = pairwise_sum(s->targets, size) / (double)size;
         for (int64_t k = 0; k < size; ++k) {
             const double dev = s->targets[k] - center;
             s->deviations[k] = dev * dev;
         }
-        scale = sqrt(bo_pairwise_sum(s->deviations, size) / (double)size);
+        scale = sqrt(pairwise_sum(s->deviations, size) / (double)size);
         if (!(scale > 1e-12)) scale = 1.0;
     }
     for (int64_t i = 0; i < n; ++i) {
@@ -437,6 +450,169 @@ int64_t bo_step(BoState *s, int64_t mode)
         s->remaining[count] = i;
         s->remaining_z[count++] = ((s->mean[i] - best) - xi) / sd;
     }
+    return count;
+}
+
+/* ------------------------------------------------------------------ */
+/* CART growth (repro.ml.decision_tree)                                */
+/* ------------------------------------------------------------------ */
+
+#include <stdlib.h>
+
+/* Stable argsort of v[0..n) into idx: a bottom-up merge that takes the
+ * right run's head only when it is strictly smaller, so equal values
+ * keep their row order, as numpy's mergesort keeps them. */
+static void cart_argsort(const double *v, int64_t n, int64_t *idx,
+                         int64_t *tmp)
+{
+    for (int64_t i = 0; i < n; ++i) idx[i] = i;
+    for (int64_t width = 1; width < n; width *= 2) {
+        for (int64_t lo = 0; lo < n; lo += 2 * width) {
+            const int64_t mid = lo + width < n ? lo + width : n;
+            const int64_t hi = lo + 2 * width < n ? lo + 2 * width : n;
+            int64_t a = lo, b = mid, k = lo;
+            while (a < mid && b < hi)
+                tmp[k++] = v[idx[b]] < v[idx[a]] ? idx[b++] : idx[a++];
+            while (a < mid) tmp[k++] = idx[a++];
+            while (b < hi) tmp[k++] = idx[b++];
+        }
+        for (int64_t i = 0; i < n; ++i) idx[i] = tmp[i];
+    }
+}
+
+typedef struct { int64_t start, end, depth, parent, side; } CartTask;
+
+/* Grow one tree of DecisionTreeRegressor with every feature a split
+ * candidate, writing the nodes in the numpy grower's DFS preorder.
+ *
+ * orders[0] holds the rows in index order and orders[1 + f] the rows
+ * sorted stably by feature f; a node owns the same [start, end) segment
+ * of every order, and a split partitions each segment stably, so a
+ * node's segments equal the numpy grower's indices and its mergesort of
+ * the node's block.  Node moments use numpy's pairwise sum over the
+ * rows in index order; the split score follows _find_split operation
+ * for operation: sequential prefix sums in sorted order, the gain
+ * formula, -inf where a split is unrealisable, argmax's first maximum
+ * (or first NaN) per feature, and a later feature winning only by more
+ * than 1e-12.  Returns the node count, or -1 when scratch memory cannot
+ * be allocated.  The caller presets every node slot to a leaf. */
+int64_t cart_grow(
+    const double *x,           /* (d, n) features, one column per row */
+    const double *y,           /* (n,) targets */
+    int64_t n, int64_t d,
+    int64_t max_depth,         /* -1: unlimited */
+    int64_t min_samples_split, int64_t min_samples_leaf,
+    int64_t *feature, double *threshold,
+    int64_t *left, int64_t *right,
+    double *value, int64_t *n_samples, double *impurity)
+{
+    int64_t *orders = malloc((size_t)((d + 2) * n) * sizeof(int64_t));
+    double *scratch = malloc((size_t)(3 * n) * sizeof(double));
+    unsigned char *goes_left = malloc((size_t)n);
+    CartTask *stack = malloc((size_t)(n + 1) * sizeof(CartTask));
+    if (!orders || !scratch || !goes_left || !stack) {
+        free(orders); free(scratch); free(goes_left); free(stack);
+        return -1;
+    }
+    int64_t *tmp = orders + (d + 1) * n;
+    double *vals = scratch, *psum = scratch + n, *psq = scratch + 2 * n;
+    for (int64_t i = 0; i < n; ++i) orders[i] = i;
+    for (int64_t f = 0; f < d; ++f)
+        cart_argsort(x + f * n, n, orders + (f + 1) * n, tmp);
+
+    const int64_t leaf = min_samples_leaf;
+    int64_t count = 0, sp = 0;
+    stack[sp++] = (CartTask){0, n, 0, -1, 0};
+    while (sp > 0) {
+        const CartTask task = stack[--sp];
+        const int64_t node = count++;
+        if (task.parent >= 0)
+            (task.side ? right : left)[task.parent] = node;
+        const int64_t start = task.start, m = task.end - task.start;
+        const int64_t *rows = orders + start;
+
+        /* Moments: mean, then the mean squared deviation. */
+        for (int64_t k = 0; k < m; ++k) vals[k] = y[rows[k]];
+        const double mean = pairwise_sum(vals, m) / (double)m;
+        int constant = 1;
+        for (int64_t k = 0; k < m; ++k) {
+            constant &= vals[k] == vals[0];
+            const double dev = vals[k] - mean;
+            psum[k] = dev * dev;
+        }
+        value[node] = mean;
+        n_samples[node] = m;
+        impurity[node] = pairwise_sum(psum, m) / (double)m;
+        if (m < min_samples_split || m < 2 * leaf
+            || (max_depth >= 0 && task.depth >= max_depth) || constant)
+            continue;
+
+        double best_gain = 0.0, best_threshold = 0.0;
+        int64_t best_feature = -1;
+        for (int64_t f = 0; f < d; ++f) {
+            const int64_t *sorted = orders + (f + 1) * n + start;
+            const double *column = x + f * n;
+            double sum = 0.0, sq = 0.0;
+            for (int64_t k = 0; k < m; ++k) {
+                const double t = y[sorted[k]];
+                vals[k] = column[sorted[k]];
+                sum += t;   /* -0.0 for +0.0 at k = 0 is squared away */
+                sq += t * t;
+                psum[k] = sum;
+                psq[k] = sq;
+            }
+            const double parent_sse = sq - sum * sum / (double)m;
+            double top = 0.0;
+            int64_t top_row = 0;
+            for (int64_t i = 0; i < m - 1; ++i) {
+                double gain = -INFINITY;
+                if (vals[i] < vals[i + 1] && i >= leaf - 1 && i < m - leaf) {
+                    const double lc = (double)(i + 1);
+                    const double rc = (double)m - lc;
+                    const double ls = psum[i], rs = sum - ls;
+                    const double lq = psq[i], rq = sq - lq;
+                    gain = parent_sse
+                         - ((lq - ls * ls / lc) + (rq - rs * rs / rc));
+                }
+                if (i == 0 || !(gain <= top)) {
+                    top = gain;
+                    top_row = i;
+                    if (isnan(top)) break;
+                }
+            }
+            if (best_gain + 1e-12 < top && top < INFINITY) {
+                best_gain = top;
+                best_feature = f;
+                best_threshold = 0.5 * (vals[top_row] + vals[top_row + 1]);
+            }
+        }
+        if (best_feature < 0) continue;
+
+        const double *column = x + best_feature * n;
+        int64_t n_left = 0;
+        for (int64_t k = 0; k < m; ++k) {
+            const int64_t row = rows[k];
+            goes_left[row] = column[row] <= best_threshold;
+            n_left += goes_left[row];
+        }
+        if (n_left == 0 || n_left == m) continue;
+        feature[node] = best_feature;
+        threshold[node] = best_threshold;
+        for (int64_t f = 0; f <= d; ++f) {
+            int64_t *segment = orders + f * n + start;
+            int64_t l = 0, r = 0;
+            for (int64_t k = 0; k < m; ++k) {
+                const int64_t row = segment[k];
+                if (goes_left[row]) segment[l++] = row; else tmp[r++] = row;
+            }
+            for (int64_t k = 0; k < r; ++k) segment[l + k] = tmp[k];
+        }
+        stack[sp++] = (CartTask){start + n_left, task.end, task.depth + 1,
+                                 node, 1};
+        stack[sp++] = (CartTask){start, start + n_left, task.depth + 1,
+                                 node, 0};
+    }
+    free(orders); free(scratch); free(goes_left); free(stack);
     return count;
 }
 """
@@ -558,24 +734,24 @@ class _Entry:
 
     __slots__ = ("raw", "_dtypes")
 
-    def __init__(self, function, signature: list) -> None:
+    def __init__(self, function, signature: list, restype=None) -> None:
         function.argtypes = [
             ctypes.c_void_p if isinstance(kind, np.dtype) else kind
             for kind in signature
         ]
-        function.restype = None
+        function.restype = restype
         self.raw = function
         self._dtypes = tuple(
             kind if isinstance(kind, np.dtype) else None for kind in signature
         )
 
-    def __call__(self, *args) -> None:
+    def __call__(self, *args):
         if len(args) != len(self._dtypes):
             raise TypeError(
                 f"this function takes {len(self._dtypes)} arguments "
                 f"({len(args)} given)"
             )
-        self.raw(*[
+        return self.raw(*[
             arg if dtype is None else _data_pointer(arg, dtype, position)
             for position, (arg, dtype) in enumerate(
                 zip(args, self._dtypes), start=1
@@ -630,6 +806,22 @@ class _Kernel:
             real,             # poly out (n, m)
             real,             # neg_s out (n, m)
         ])
+        self.cart_grow = _Entry(lib.cart_grow, [
+            real,             # (d, n) features, column-major
+            real,             # (n,) targets
+            ctypes.c_int64,   # n
+            ctypes.c_int64,   # d
+            ctypes.c_int64,   # max_depth, -1 for none
+            ctypes.c_int64,   # min_samples_split
+            ctypes.c_int64,   # min_samples_leaf
+            index,            # feature out (2n - 1)
+            real,             # threshold out
+            index,            # left out
+            index,            # right out
+            real,             # value out
+            index,            # n_samples out
+            real,             # impurity out
+        ], restype=ctypes.c_int64)
         # Called once per BO probe with prebuilt state, so it skips the
         # per-call validation of _Entry.
         self.bo_step = lib.bo_step
@@ -671,5 +863,7 @@ def load_kernel() -> _Kernel | None:
 
 
 def kernel_name() -> str:
-    """``"native-c"`` or ``"numpy"`` -- which engine inference will use."""
+    """``"native-c"`` or ``"numpy"`` -- the engine inference uses, and the
+    one that grows trees whose splits score every feature (feature
+    sub-sampling always grows with numpy)."""
     return "native-c" if load_kernel() is not None else "numpy"

@@ -471,6 +471,33 @@ class TestForecastAwareRouting:
         assert pool.router.route(1, 1, "t", pool) == "b"
 
 
+class TestDurationSizedDemand:
+
+    def test_duration_ewma_sizes_concurrent_demand(self):
+        # 30 arrivals a minute that each run ~46 s keep ~23 in flight,
+        # well above the floor of one, so the duration EWMA sizes the
+        # plan: 30 -> 48 -> 45.6 s with alpha 0.3.
+        planner = FleetPlanner(
+            epoch_s=60.0, capacity_limits={"a": (64, 128)}
+        )
+        planner.begin(0.0)
+        for _ in range(30):
+            planner.observe_arrival("t", "q", 8.0, shard="a", n_vm=1, n_sl=2)
+        for seconds in (30.0, 90.0, 40.0):
+            planner.observe_duration(seconds)
+        pool = build_pool(
+            Simulator(), shards={"a": PoolConfig(max_vms=4, max_sls=4)}
+        )
+        plan = planner.on_epoch_end(pool, 60.0)
+        predicted = planner.shard_forecast("a")
+        assert predicted * planner._duration_ewma / planner.epoch_s > 1.0
+        # headroom 1.5 x min(30 * 45.6 / 60, 30) x the (1 VM, 2 SL) mix
+        assert planner._shard_demand(
+            planner._last_forecast, predicted
+        ) == (34.2, 68.4)
+        assert plan.shard_capacity == {"a": (35, 69)}
+
+
 # ---------------------------------------------------------------------------
 # End-to-end: the planner actually plans
 # ---------------------------------------------------------------------------

@@ -1,12 +1,30 @@
 """Unit tests for the CART regression tree."""
 
+import contextlib
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
-from repro.ml import DecisionTreeRegressor
+from repro.ml import DecisionTreeRegressor, forest_native
 from repro.ml.metrics import rmse
+
+_NATIVE = forest_native.load_kernel() is not None
+_NODE_ARRAYS = ("feature", "threshold", "left", "right", "value",
+                "n_samples", "impurity")
+
+
+@contextlib.contextmanager
+def _fit_engine(engine):
+    """Fit with the native ``cart_grow`` kernel or the numpy grower."""
+    if engine == "native":
+        assert _NATIVE
+        yield
+    else:
+        with mock.patch.object(forest_native, "load_kernel", lambda: None):
+            yield
 
 
 def _toy_step_data():
@@ -276,21 +294,104 @@ def _fit_cases(draw):
     return features, targets, params, draw(st.integers(0, 2**32 - 1))
 
 
+def _example_case(n_rows, min_samples_leaf=1, target_scale=1e2):
+    """A fixed case: a tied, a free and a constant feature column."""
+    rows = np.arange(n_rows, dtype=np.float64)
+    features = np.stack(
+        [(rows * 7) % 5, np.sin(rows * 0.7), np.full(n_rows, 3.25)], axis=1
+    )
+    targets = target_scale * (np.cos(rows * 1.3) + (rows % 3))
+    params = dict(
+        max_depth=None,
+        min_samples_split=2,
+        min_samples_leaf=min_samples_leaf,
+        max_features=None,
+    )
+    return features, targets, params, 0
+
+
+def _tied_partition_case(seed):
+    """Three columns whose best splits cut the same rows, two of them
+    through groups of tied values.  Gains near 1e12 differ in bits far
+    above the 1e-12 tie rule, so the winning column depends on the order
+    each column's prefix sums add the tied rows: ties by row index."""
+    rows = np.arange(48, dtype=np.float64)
+    groups = rows // 4
+    features = np.stack([rows, groups, groups * 2.0], axis=1)
+    noise = np.random.default_rng(seed).normal(size=48)
+    targets = 1e6 * (groups >= 5) + noise * 10.0 ** (rows % 7)
+    params = dict(max_depth=None, min_samples_split=2, min_samples_leaf=1,
+                  max_features=None)
+    return features, targets, params, 0
+
+
+def _with_examples(test):
+    """The node sizes on every branch of numpy's pairwise sum (a plain
+    loop below 8, eight accumulators up to 128, halving above), a leaf
+    minimum, targets whose squares overflow into NaN gains, and gains
+    decided by the sort's tie order."""
+    for case in (
+        *(_example_case(n) for n in (7, 8, 128, 129, 300)),
+        _example_case(40, min_samples_leaf=3),
+        _example_case(30, target_scale=1e200),
+        _tied_partition_case(1),
+        _tied_partition_case(2),
+    ):
+        test = example(case)(test)
+    return given(_fit_cases())(test)
+
+
 class TestSplitSearchMatchesPerFeatureReference:
-    @given(_fit_cases())
-    def test_trees_and_draws_are_bitwise_equal(self, case):
+    """Both fit engines grow the per-feature reference's trees and draws."""
+
+    @staticmethod
+    def _check(case, engine):
         features, targets, params, seed = case
-        tree = DecisionTreeRegressor(
-            rng=np.random.default_rng(seed), **params
-        ).fit(features, targets)
-        reference = _ReferenceTree(
-            rng=np.random.default_rng(seed), **params
-        ).fit(features, targets)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with _fit_engine(engine):
+                tree = DecisionTreeRegressor(
+                    rng=np.random.default_rng(seed), **params
+                ).fit(features, targets)
+            with _fit_engine("numpy"):
+                reference = _ReferenceTree(
+                    rng=np.random.default_rng(seed), **params
+                ).fit(features, targets)
         got, want = tree._require_fitted(), reference._require_fitted()
         assert got.count == want.count
-        for name in ("feature", "threshold", "left", "right", "value",
-                     "n_samples", "impurity"):
+        for name in _NODE_ARRAYS:
             a, b = getattr(got, name), getattr(want, name)
             assert a.dtype == b.dtype and a.shape == b.shape, name
             assert a.tobytes() == b.tobytes(), name
         assert tree._rng.bit_generator.state == reference._rng.bit_generator.state
+
+    @_with_examples
+    def test_trees_and_draws_are_bitwise_equal(self, case):
+        self._check(case, "numpy")
+
+    @pytest.mark.skipif(not _NATIVE, reason="native kernel unavailable")
+    @_with_examples
+    def test_native_trees_and_draws_are_bitwise_equal(self, case):
+        self._check(case, "native")
+
+
+@pytest.mark.skipif(not _NATIVE, reason="native kernel unavailable")
+def test_native_root_moments_match_numpy():
+    """Root ``value``/``impurity`` (the pairwise sums) agree bitwise for
+    every node size up to 300 and across numpy's 8,192-element block."""
+    for n_rows in (*range(1, 301), 8191, 8192, 8193):
+        rng = np.random.default_rng(n_rows)
+        features = rng.normal(size=(n_rows, 2))
+        targets = rng.normal(size=n_rows) * 10.0 ** rng.uniform(-3, 3, n_rows)
+        roots = []
+        for engine in ("native", "numpy"):
+            with _fit_engine(engine):
+                tree = DecisionTreeRegressor(
+                    min_samples_split=n_rows + 1
+                ).fit(features, targets)
+            roots.append(tree._require_fitted())
+        native, reference = roots
+        assert native.count == reference.count == 1, n_rows
+        for name in ("value", "impurity"):
+            assert getattr(native, name).tobytes() == getattr(
+                reference, name
+            ).tobytes(), (n_rows, name)
