@@ -531,7 +531,8 @@ int64_t cart_grow(
         const int64_t start = task.start, m = task.end - task.start;
         const int64_t *rows = orders + start;
 
-        /* Moments: mean, then the mean squared deviation. */
+        /* Moments: mean, then the mean squared deviation (psum holds
+         * the squared deviations until the split search reuses it). */
         for (int64_t k = 0; k < m; ++k) vals[k] = y[rows[k]];
         const double mean = pairwise_sum(vals, m) / (double)m;
         int constant = 1;
@@ -556,7 +557,8 @@ int64_t cart_grow(
             for (int64_t k = 0; k < m; ++k) {
                 const double t = y[sorted[k]];
                 vals[k] = column[sorted[k]];
-                sum += t;   /* -0.0 for +0.0 at k = 0 is squared away */
+                sum += t;   /* from +0.0: only a leading -0.0 differs,
+                               and every use squares it away */
                 sq += t * t;
                 psum[k] = sum;
                 psq[k] = sq;

@@ -301,12 +301,8 @@ def _example_case(n_rows, min_samples_leaf=1, target_scale=1e2):
         [(rows * 7) % 5, np.sin(rows * 0.7), np.full(n_rows, 3.25)], axis=1
     )
     targets = target_scale * (np.cos(rows * 1.3) + (rows % 3))
-    params = dict(
-        max_depth=None,
-        min_samples_split=2,
-        min_samples_leaf=min_samples_leaf,
-        max_features=None,
-    )
+    params = dict(max_depth=None, min_samples_split=2,
+                  min_samples_leaf=min_samples_leaf, max_features=None)
     return features, targets, params, 0
 
 
