@@ -1,5 +1,6 @@
 """Grid-compiled forest descent: bitwise equivalence and integration."""
 
+import hashlib
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
@@ -8,17 +9,25 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import Smartpick, SmartpickProperties
 from repro.cloud.pricing import get_prices
 from repro.cloud.providers import get_provider
 from repro.core.features import FEATURE_NAMES, FeatureVector
 from repro.core.predictor import PredictionRequest, WorkloadPredictor
 from repro.ml.dataset import Dataset
 from repro.ml.grid_inference import GridPack, _pack_rows
+from repro.workloads import get_query
 
 from test_determine_golden import trained_predictor
 
 AWS_PROFILE = get_provider("aws")
 AWS_PRICES = get_prices("aws")
+
+#: SHA-256 of :func:`_compiled_tables_digest` under the per-node collapse
+#: walk the level-by-level one replaced.
+GOLDEN_COMPILED_TABLES = (
+    "a06bcd07c89df5457a67b19c3fb002c8d49d04048494f1d4d3384afe3b031f2d"
+)
 
 
 def _predictor(max_vm=6, max_sl=6, n_estimators=10, seed=3, **kwargs):
@@ -379,3 +388,75 @@ class TestPredictorIntegration:
                 assert np.array_equal(
                     decision.grid.seconds, trees.take(rows, axis=1).mean(axis=0)
                 )
+
+
+def _suite_model(query_classes):
+    """The served model of the serving benchmark suite (fixed seed)."""
+    system = Smartpick(
+        SmartpickProperties(
+            provider="AWS",
+            relay=True,
+            error_difference_trigger=1e9,
+            history_window=256,
+        ),
+        max_vm=8,
+        max_sl=8,
+        rng=1207,
+    )
+    system.bootstrap(
+        [get_query(query_id, input_gb=16.0) for query_id in query_classes],
+        n_configs_per_query=4,
+    )
+    return system.predictor
+
+
+def _compiled_tables_digest() -> str:
+    """SHA-256 over every table the reach-based collapse shapes.
+
+    Covers the small test forest (every mode, plus random row subsets
+    down to one row), the golden-sweep forests with quota caps, and the
+    serving suite's model on each grid its workloads size.
+    """
+    digest = hashlib.sha256()
+
+    def update(predictor, grid):
+        values, scaled = FeatureVector.grid_columns(grid[:, 0], grid[:, 1])
+        engine = GridPack(predictor.forest.packed(), values, scaled)
+        digest.update(engine._table.tobytes())
+        digest.update(engine._static_masks.tobytes())
+        digest.update(engine._branch_thresholds.tobytes())
+        digest.update(repr(engine._branch_groups).encode())
+        digest.update(repr((engine.n_collapsed, engine.n_branch)).encode())
+
+    small = _predictor()
+    rng = np.random.default_rng(17)
+    for mode in ("hybrid", "vm-only", "sl-only"):
+        full = small.candidate_grid(mode)
+        update(small, full)
+        for size in (1, 2, 5, 12):
+            size = min(size, full.shape[0])
+            update(small, full[rng.choice(full.shape[0], size, replace=False)])
+    for bound, seed in ((8, 5), (12, 9)):
+        predictor = trained_predictor(bound, bound, seed)
+        for mode, caps in (
+            ("hybrid", (None, None)),
+            ("hybrid", (3, 5)),
+            ("vm-only", (None, None)),
+            ("sl-only", (2, 2)),
+        ):
+            update(predictor, predictor.candidate_grid(mode, *caps))
+    short = ("uniform-1x1s", "uniform-2x1s", "uniform-2x2s", "uniform-4x1s")
+    wide = ("uniform-2x1s", "uniform-4x1s", "uniform-4x2s", "uniform-8x1s")
+    for classes, modes in ((short, ("vm-only", "hybrid")), (wide, ("hybrid",))):
+        predictor = _suite_model(classes)
+        for mode in modes:
+            update(predictor, predictor.candidate_grid(mode))
+    return digest.hexdigest()
+
+
+def test_compiled_tables_match_golden():
+    assert _compiled_tables_digest() == GOLDEN_COMPILED_TABLES
+
+
+if __name__ == "__main__":
+    print(_compiled_tables_digest())
