@@ -55,10 +55,7 @@ from repro.core.tradeoff import (  # noqa: E402
 )
 from repro.ml.dataset import Dataset  # noqa: E402
 from repro.ml import forest_native  # noqa: E402
-from repro.ml.bayesian_optimizer import (  # noqa: E402
-    BayesianOptimizer,
-    NativePosterior,
-)
+from repro.ml.bayesian_optimizer import BayesianOptimizer  # noqa: E402
 from repro.ml.forest_native import kernel_name  # noqa: E402
 from repro.ml.gaussian_process import GaussianProcessRegressor  # noqa: E402
 from repro.ml.kernels import Matern52Kernel  # noqa: E402
@@ -298,21 +295,24 @@ def _decision_signature(decision) -> tuple:
     )
 
 
-def _native_bo_steps(run):
-    """``run()``'s result and how many native BO probe steps it made."""
-    steps = 0
-    observe_and_score = NativePosterior.observe_and_score
+def _native_bo_searches(run):
+    """``run()``'s result and how many native BO searches it made."""
+    kernel = forest_native.load_kernel()
+    if kernel is None or kernel.bo_search is None:
+        return run(), 0
+    searches = 0
+    bo_search = kernel.bo_search
 
-    def counted(self, *args):
-        nonlocal steps
-        steps += 1
-        return observe_and_score(self, *args)
+    def counted(*args):
+        nonlocal searches
+        searches += 1
+        return bo_search(*args)
 
-    NativePosterior.observe_and_score = counted
+    kernel.bo_search = counted
     try:
-        return run(), steps
+        return run(), searches
     finally:
-        NativePosterior.observe_and_score = observe_and_score
+        kernel.bo_search = bo_search
 
 
 def bench_solo_determine(
@@ -324,8 +324,8 @@ def bench_solo_determine(
     agree to rounding only, so equality holds while no acquisition score
     sits in a near-tie at PI's saturation (see the matching property in
     ``tests/test_properties.py``).  With the native kernel loaded the
-    table-driven loop must score through the native BO step, so a silent
-    fall back to the numpy posterior fails the bench."""
+    table-driven loop must run as the native BO search, so a silent fall
+    back to the Python loop fails the bench."""
     requests = [
         PredictionRequest(
             query_id=f"q{i}",
@@ -354,10 +354,10 @@ def bench_solo_determine(
             ]
 
         state = predictor._rng.bit_generator.state
-        table, native_steps = _native_bo_steps(table_driven)
+        table, native_searches = _native_bo_searches(table_driven)
         if forest_native.load_kernel() is not None:
-            assert native_steps > 0, (
-                f"solo_determine {name}: the native BO step never ran"
+            assert native_searches > 0, (
+                f"solo_determine {name}: the native BO search never ran"
             )
         table_state = predictor._rng.bit_generator.state
         predictor._rng.bit_generator.state = state

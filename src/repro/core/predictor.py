@@ -11,7 +11,10 @@ The candidate grid is fixed per mode and quota bounds, so the search is
 table-driven: one forest pass at the start of a determination yields
 every candidate's ``RF_t``, the optimizer's objective reads that table
 (drawing the Eq. 2 noise per probe), and the GP surrogate reads a
-memoized Matern Gram over the grid.  Every candidate the optimizer
+memoized Matern Gram over the grid.  Under PI the whole search runs in
+one native call (:func:`~repro.ml.bayesian_optimizer.search_table`);
+otherwise :meth:`~repro.ml.bayesian_optimizer.BayesianOptimizer.maximize`
+runs it, with the same decisions.  Every candidate the optimizer
 touches lands in the Estimated Time list (``ET_l``); when the
 cost-performance knob is set, Eq. 4 is solved over that list
 (:mod:`repro.core.tradeoff`).
@@ -39,7 +42,7 @@ from repro.core.features import (
 )
 from repro.core.tradeoff import DecisionGrid, EstimatedTimeEntry
 from repro.ml.acquisition import AcquisitionFunction, make_acquisition
-from repro.ml.bayesian_optimizer import BayesianOptimizer
+from repro.ml.bayesian_optimizer import BayesianOptimizer, search_table
 from repro.ml.dataset import DataBurstAugmenter, Dataset
 from repro.ml.grid_inference import GridPack
 from repro.ml.random_forest import RandomForestRegressor
@@ -141,7 +144,7 @@ class ConfigDecision:
         )
 
 
-def _objective_table(trees: np.ndarray) -> list[float]:
+def _objective_table(trees: np.ndarray) -> np.ndarray:
     """Per-candidate ``RF_t`` from a ``(n_trees, n_candidates)`` matrix.
 
     Each candidate's trees are summed as one contiguous row -- the
@@ -149,7 +152,7 @@ def _objective_table(trees: np.ndarray) -> list[float]:
     :meth:`WorkloadPredictor.predict_duration` on candidate ``i``'s
     feature vector bit for bit.
     """
-    return np.ascontiguousarray(trees.T).mean(axis=1).tolist()
+    return np.ascontiguousarray(trees.T).mean(axis=1)
 
 
 class WorkloadPredictor:
@@ -500,7 +503,10 @@ class WorkloadPredictor:
         precedes it, each probe reads its candidate's ``RF_t`` from that
         pass and adds the Eq. 2 noise, and the surrogate conditions on a
         memoized candidate Gram.  The decision is bitwise the one a
-        per-probe forest call and kernel build would produce.
+        per-probe forest call and kernel build would produce.  The
+        search runs in one native call when it can
+        (:func:`~repro.ml.bayesian_optimizer.search_table`) and through
+        :meth:`_maximize` otherwise.
         """
         if not self.is_trained:
             raise RuntimeError("the prediction model has not been trained")
@@ -512,27 +518,22 @@ class WorkloadPredictor:
             [request], mode, candidates, eff_vm, eff_sl
         )
         table = _objective_table(trees)
-        probed: list[int] = []
-
-        def objective(point: np.ndarray) -> float:
-            index = int(row_of[int(point[0]), int(point[1])])
-            probed.append(index)
-            predicted = table[index]
-            # Eq. 2: maximise -(RF_t + delta), delta ~ N(0, sigma).
-            delta = self._rng.normal(0.0, 0.01 * max(predicted, 1.0))
-            return -(predicted + delta)
-
-        optimizer = BayesianOptimizer(
-            objective=objective,
-            candidates=candidates,
+        n_initial = min(4, candidates.shape[0])
+        searched = search_table(
+            table,
+            gram,
+            self._rng,
             acquisition=self.acquisition,
-            n_initial=min(4, candidates.shape[0]),
+            n_initial=n_initial,
             improvement_threshold=self.bo_improvement_threshold,
             patience=self.bo_patience,
-            gram=gram,
-            rng=self._rng,
+            max_iterations=max_iterations,
         )
-        result = optimizer.maximize(max_iterations=max_iterations)
+        if searched is None:
+            searched = self._maximize(
+                table, candidates, gram, row_of, n_initial, max_iterations
+            )
+        probe_indices, converged = searched
 
         # The Estimated Time list (every probe, plus the winner) reads the
         # same forest pass: column means over the probes' tree columns add
@@ -540,9 +541,6 @@ class WorkloadPredictor:
         # (``take`` keeps the block C-ordered, so the reduction order
         # matches).  One batched cost pass prices the list, which stays in
         # array form end to end.
-        best_point = result.best_point
-        best = int(row_of[int(best_point[0]), int(best_point[1])])
-        probe_indices = np.array(probed + [best])
         probe_points = candidates[probe_indices]
         estimates = trees.take(probe_indices, axis=1).mean(axis=0)
         costs = self.estimate_costs(estimates, probe_points)
@@ -551,8 +549,8 @@ class WorkloadPredictor:
         )
 
         best_entry = EstimatedTimeEntry(
-            n_vm=int(result.best_point[0]),
-            n_sl=int(result.best_point[1]),
+            n_vm=int(probe_points[-1, 0]),
+            n_sl=int(probe_points[-1, 1]),
             estimated_seconds=float(estimates[-1]),
             estimated_cost=float(costs[-1]),
         )
@@ -575,10 +573,50 @@ class WorkloadPredictor:
             best_entry=best_entry,
             chosen_entry=chosen,
             grid=decision_grid,
-            n_evaluations=result.n_evaluations,
-            converged=result.converged,
+            n_evaluations=len(probe_indices) - 1,
+            converged=converged,
             inference_seconds=elapsed,
         )
+
+    def _maximize(
+        self,
+        table: np.ndarray,
+        candidates: np.ndarray,
+        gram: np.ndarray,
+        row_of: np.ndarray,
+        n_initial: int,
+        max_iterations: int,
+    ) -> tuple[np.ndarray, bool]:
+        """``determine``'s search through :meth:`BayesianOptimizer.maximize`.
+
+        The reference for :func:`search_table`, and the path whenever
+        that cannot run (no native search, an acquisition other than PI,
+        a non-finite table entry).  Returns the probes in order followed
+        by the incumbent, and the convergence flag.
+        """
+        values = table.tolist()
+        probed: list[int] = []
+
+        def objective(point: np.ndarray) -> float:
+            index = int(row_of[int(point[0]), int(point[1])])
+            probed.append(index)
+            predicted = values[index]
+            # Eq. 2: maximise -(RF_t + delta), delta ~ N(0, sigma).
+            delta = self._rng.normal(0.0, 0.01 * max(predicted, 1.0))
+            return -(predicted + delta)
+
+        result = BayesianOptimizer(
+            objective=objective,
+            candidates=candidates,
+            acquisition=self.acquisition,
+            n_initial=n_initial,
+            improvement_threshold=self.bo_improvement_threshold,
+            patience=self.bo_patience,
+            gram=gram,
+            rng=self._rng,
+        ).maximize(max_iterations=max_iterations)
+        best = int(row_of[int(result.best_point[0]), int(result.best_point[1])])
+        return np.array(probed + [best]), result.converged
 
     def determine_batch(
         self,

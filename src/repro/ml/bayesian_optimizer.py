@@ -25,10 +25,17 @@ With the compiled kernel of :mod:`repro.ml.forest_native` available the
 optimizer keeps that posterior in :class:`NativePosterior` instead: the
 same algebra in buffers allocated once per optimizer, where one
 ``bo_step`` call conditions on a probe and, under the paper's PI, also
-writes the unprobed candidates' z-scores.  A PI probe then costs one
-ctypes call and one ``ndtr``; the loop, the objective, the stall rule and
-the tie-breaking argmax stay here, so the generator stream is the numpy
-path's.
+writes the unprobed candidates' z-scores.  :meth:`BayesianOptimizer.maximize`
+still drives the loop, the objective, the stall rule and the
+tie-breaking argmax from Python, so it takes any objective and any
+acquisition, and it is the reference for :func:`search_table`.
+
+Smartpick's own searches have a fixed objective, a table of ``RF_t`` per
+candidate plus the Eq. 2 noise, and use PI.  :func:`search_table` runs
+such a search whole in the kernel's ``bo_search``, one ctypes call per
+search, drawing from the caller's generator through numpy's own samplers
+and scoring with scipy's own ``ndtr``: the same probes, incumbent and
+generator end state as ``maximize`` on the native posterior.
 
 The optimizer records every probe in :attr:`BOResult.history`; Smartpick's
 tradeoff knob later traverses that list (the paper's *Estimated Time list*,
@@ -55,6 +62,7 @@ __all__ = [
     "CandidatePosterior",
     "NativePosterior",
     "Probe",
+    "search_table",
 ]
 
 
@@ -498,3 +506,86 @@ class BayesianOptimizer:
         # Randomised argmax so ties do not always resolve to the lowest index.
         top = np.nonzero(scores == scores.max())[0]
         return top[self._rng.integers(top.size)] if top.size > 1 else top[0]
+
+
+def search_table(
+    table: np.ndarray,
+    gram: np.ndarray,
+    rng: np.random.Generator,
+    acquisition: AcquisitionFunction,
+    n_initial: int,
+    improvement_threshold: float,
+    patience: int,
+    max_iterations: int,
+    noise: float = 1e-2,
+) -> tuple[np.ndarray, bool] | None:
+    """:meth:`BayesianOptimizer.maximize` on a table, in one native call.
+
+    The objective is Smartpick's Eq. 2 over ``table``, the ``RF_t`` of
+    every candidate: probing candidate ``i`` observes
+    ``-(table[i] + delta)`` with ``delta = rng.normal(0, 0.01 *
+    max(table[i], 1))``.  The compiled ``bo_search`` runs the whole loop
+    -- initial design, noise, stall rules, posterior, PI and its tie
+    draws -- with numpy's own samplers on ``rng``'s bit generator and
+    scipy's own ``ndtr``, so the probes, the incumbent, the convergence
+    flag and ``rng``'s end state are those of ``maximize`` with the same
+    arguments and that objective.  The initial design is drawn here,
+    with the same ``rng.choice`` call.  The bit generator's lock is held
+    through the call, as ``rng``'s own methods hold it.
+
+    Returns the probed candidates in order followed by the incumbent,
+    and the convergence flag; or ``None`` when this search cannot stand
+    in for ``maximize``: no ``bo_search`` in the loaded kernel, an
+    acquisition other than PI, a non-finite table entry, or arguments
+    ``maximize`` rejects (it raises for those).
+    """
+    kernel = forest_native.load_kernel()
+    search = None if kernel is None else kernel.bo_search
+    table = np.ascontiguousarray(table, dtype=np.float64)
+    n = table.shape[0]
+    if (
+        search is None
+        or type(acquisition) is not ProbabilityOfImprovement
+        or n == 0
+        or np.shape(gram) != (n, n)
+        or min(n_initial, patience, max_iterations) < 1
+        or improvement_threshold < 0
+        or noise < 0
+        or not np.isfinite(table).all()
+    ):
+        return None
+    gram = np.ascontiguousarray(gram, dtype=np.float64)
+    initial = rng.choice(n, size=min(n_initial, n), replace=False)
+    out = np.empty(min(max_iterations, n) + 2, dtype=np.int64)
+    schur = np.empty(1)
+    bit_generator = rng.bit_generator
+    with bit_generator.lock:
+        count = search(
+            gram.ctypes.data,
+            n,
+            table.ctypes.data,
+            initial.ctypes.data,
+            initial.size,
+            max_iterations,
+            improvement_threshold,
+            # An integer stall count reaches a fractional patience at
+            # its ceiling.
+            math.ceil(patience),
+            noise**2 + 1e-10,
+            acquisition.xi,
+            bit_generator.ctypes.bit_generator,
+            kernel.ndtr,
+            out.ctypes.data,
+            schur.ctypes.data,
+        )
+    if count == -1:
+        raise MemoryError("bo_search could not allocate its scratch")
+    if count == -2:
+        raise ValueError(
+            f"candidate {out[0]}: non-positive Schur complement "
+            f"{schur[0]:.6g}; the Gram is not positive semi-definite"
+        )
+    if count == -3:
+        # numpy's argmax over NaN scores finds no maximum.
+        raise IndexError("index 0 is out of bounds for axis 0 with size 0")
+    return out[1 : count + 2], bool(out[0])

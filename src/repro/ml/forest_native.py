@@ -50,6 +50,26 @@ use a C copy of numpy's pairwise summation (a plain loop below 8 values,
 eight accumulators up to 128, above that a split at ``n/2`` rounded down
 to a multiple of 8); and splits are scored in ``_find_split``'s exact
 operation order with ``argmax``'s first-maximum-or-first-NaN rule.
+
+A fifth, ``bo_search``, runs a whole PI search of
+:func:`~repro.ml.bayesian_optimizer.search_table` in one call: the
+initial-design queue, Smartpick's Eq. 2 noise, the improvement and
+patience rules, ``bo_step``'s posterior update and z-scores, PI and the
+randomised argmax, over buffers it allocates per call.  Its random draws
+and its Gaussian cdf are not re-implementations:
+
+- numpy's static ``numpy/random/lib/libnpyrandom.a`` is linked in, and
+  ``random_normal`` / ``random_bounded_uint64_fill`` (the samplers
+  behind ``Generator.normal`` and ``Generator.integers``) are called on
+  the generator's own ``bitgen_t``, declared by hand
+  (:data:`_NPYRANDOM_API`) so no Python header is needed;
+- ``ndtr`` is scipy's, the function pointer in the
+  ``scipy.special.cython_special`` capsule ``__pyx_fuse_1ndtr``, taken
+  only when the capsule's signature is exactly :data:`_NDTR_SIGNATURE`.
+
+The library's cache key covers numpy's version and the archive's bytes.
+Without the archive, when that link fails or without a matching capsule,
+``bo_search`` is ``None`` and the other four entry points still load.
 """
 
 from __future__ import annotations
@@ -75,6 +95,28 @@ __all__ = [
 NODE_DTYPE = np.dtype(
     [("threshold", "<f8"), ("feature", "<i4"), ("left", "<i4")]
 )
+
+#: numpy's ``bitgen_t`` (``numpy/random/bitgen.h``) and the two samplers
+#: of ``libnpyrandom`` that ``Generator.normal`` and ``Generator.integers``
+#: call, declared by hand so the kernel needs no Python header and every
+#: draw is the generator's own.
+_NPYRANDOM_API = r"""
+#include <stdbool.h>
+#include <stdint.h>
+
+typedef struct {
+    void *state;
+    uint64_t (*next_uint64)(void *st);
+    uint32_t (*next_uint32)(void *st);
+    double (*next_double)(void *st);
+    uint64_t (*next_raw)(void *st);
+} bitgen_t;
+
+double random_normal(bitgen_t *bitgen_state, double loc, double scale);
+void random_bounded_uint64_fill(bitgen_t *bitgen_state, uint64_t off,
+                                uint64_t rng, intptr_t cnt, bool use_masked,
+                                uint64_t *out);
+"""
 
 _SOURCE = r"""
 #include <stdint.h>
@@ -617,6 +659,136 @@ int64_t cart_grow(
     free(orders); free(scratch); free(goes_left); free(stack);
     return count;
 }
+
+/* ------------------------------------------------------------------ */
+/* Whole PI search (repro.ml.bayesian_optimizer.search_table)          */
+/* ------------------------------------------------------------------ */
+
+/* Built only when numpy's static libnpyrandom links in (see _build). */
+#ifdef REPRO_BO_SEARCH
+""" + _NPYRANDOM_API + r"""
+/* BayesianOptimizer.maximize under PI, with Smartpick's Eq. 2 objective
+ * read from `table`, probe for probe and draw for draw: the initial
+ * design (drawn by the caller) is probed first; each probe draws its
+ * noise with random_normal(0, 0.01 * max(RF_t, 1)) and observes
+ * -(RF_t + delta); the 1 % improvement and patience rules update the
+ * incumbent and the stall count; bo_step conditions the posterior and,
+ * once the design is spent, scores the unprobed candidates; ndtr (the
+ * scipy.special.cython_special function) turns z-scores into PI, and
+ * the pick is the maximum, ties broken by Generator.integers' draw.
+ *
+ * out[0] receives the converged flag, out[1..count] the probes and
+ * out[count + 1] the incumbent; the return value is count.  Errors:
+ * -1 when scratch memory cannot be allocated, -2 for a non-positive
+ * Schur complement (out[0] names the candidate, *schur holds it), -3
+ * when a PI score is NaN (numpy's argmax finds no maximum then). */
+int64_t bo_search(
+    const double *gram, int64_t n,
+    const double *table,          /* (n,) RF_t per candidate, finite */
+    const int64_t *initial, int64_t n_initial,
+    int64_t max_iterations, double threshold, int64_t patience,
+    double nugget, double xi,
+    bitgen_t *bitgen, double (*ndtr)(double, int),
+    int64_t *out,                 /* (min(max_iterations, n) + 2,) */
+    double *schur)
+{
+    const int64_t capacity = max_iterations < n ? max_iterations : n;
+    const int64_t width = n + 2;
+    double *block =
+        malloc((size_t)(7 * n + capacity * (width + 2)) * sizeof(double));
+    unsigned char *unprobed = malloc((size_t)n);
+    if (!block || !unprobed) { free(block); free(unprobed); return -1; }
+    BoState s;
+    s.gram = gram;
+    s.moments = block;
+    s.mean = block + 3 * n;
+    s.std = block + 4 * n;
+    s.remaining_z = block + 5 * n;
+    s.remaining = (int64_t *)(block + 6 * n);
+    s.rows = block + 7 * n;
+    s.targets = s.rows + capacity * width;
+    s.deviations = s.targets + capacity;
+    s.unprobed = unprobed;
+    s.n = n;
+    s.size = 0;
+    s.nugget = nugget;
+    s.xi = xi;
+    for (int64_t i = 0; i < 3 * n; ++i) block[i] = 0.0;
+    for (int64_t i = 0; i < n; ++i) unprobed[i] = 1;
+
+    int64_t *probes = out + 1;
+    double best = -INFINITY;
+    int64_t best_index = -1, stall = 0, count = 0, queued = 0;
+    int64_t n_remaining = 0, status = 0, converged = 0;
+    for (int64_t iteration = 0; iteration < max_iterations; ++iteration) {
+        int64_t index;
+        if (queued < n_initial) {
+            index = initial[queued++];
+        } else {
+            if (n_remaining == 0) { converged = 1; break; }
+            double *scores = s.remaining_z;
+            double top = -INFINITY;
+            int64_t ties = 0;
+            for (int64_t k = 0; k < n_remaining; ++k) {
+                scores[k] = ndtr(scores[k], 0);
+                if (isnan(scores[k])) { status = -3; break; }
+                if (scores[k] > top) { top = scores[k]; ties = 0; }
+                ties += scores[k] == top;
+            }
+            if (status) break;
+            uint64_t pick = 0;
+            if (ties > 1)
+                random_bounded_uint64_fill(bitgen, 0, (uint64_t)(ties - 1),
+                                           1, false, &pick);
+            int64_t k = 0;
+            for (;; ++k)
+                if (scores[k] == top && pick-- == 0) break;
+            index = s.remaining[k];
+        }
+        unprobed[index] = 0;
+        const double predicted = table[index];
+        const double delta = random_normal(
+            bitgen, 0.0, 0.01 * (1.0 > predicted ? 1.0 : predicted));
+        const double value = -(predicted + delta);
+        probes[count++] = index;
+
+        int improved = 1;
+        if (isfinite(best)) {
+            const double magnitude = fabs(best);
+            improved =
+                value > best + threshold * (1e-12 > magnitude ? 1e-12 : magnitude);
+        }
+        if (improved) {
+            best = value;
+            best_index = index;
+            stall = 0;
+        } else {
+            if (value > best) { best = value; best_index = index; }
+            ++stall;
+        }
+        const int done = stall >= patience || count == n;
+        const int score = !done && queued == n_initial;
+        s.index = index;
+        s.value = value;
+        s.best = best;
+        const int64_t step = bo_step(&s, score ? 2 : 0);
+        if (step == -2) {
+            *schur = s.schur;
+            out[0] = index;
+            status = -2;
+            break;
+        }
+        if (score) n_remaining = step;
+        if (done) { converged = 1; break; }
+    }
+    free(block);
+    free(unprobed);
+    if (status) return status;
+    out[0] = converged;
+    probes[count] = best_index;
+    return count;
+}
+#endif
 """
 
 #: Row capacity of the grid kernel's set representation (64-bit words).
@@ -666,8 +838,61 @@ def _compiler() -> str | None:
     return None
 
 
+def _npyrandom_archive() -> str | None:
+    """numpy's static ``libnpyrandom.a``, or ``None`` when not shipped."""
+    path = os.path.join(
+        os.path.dirname(np.__file__), "random", "lib", "libnpyrandom.a"
+    )
+    return path if os.path.isfile(path) else None
+
+
+#: The C signature of ``scipy.special.cython_special``'s float64 ``ndtr``.
+_NDTR_SIGNATURE = b"double (double, int __pyx_skip_dispatch)"
+
+
+def _ndtr_address() -> int | None:
+    """The address of scipy's own float64 ``ndtr``, or ``None``.
+
+    It is read from the ``__pyx_fuse_1ndtr`` capsule of
+    ``scipy.special.cython_special``, the function the ``ndtr`` ufunc's
+    float64 loop calls, and only when the capsule carries exactly the
+    signature the search calls it with.
+    """
+    try:
+        from scipy.special import cython_special
+
+        capsule = cython_special.__pyx_capi__["__pyx_fuse_1ndtr"]
+    except (ImportError, AttributeError, KeyError):
+        return None
+    # Private prototypes: the shared ctypes.pythonapi functions keep
+    # whatever argtypes other code gave them.
+    is_valid = ctypes.PYFUNCTYPE(ctypes.c_int, ctypes.py_object, ctypes.c_char_p)(
+        ("PyCapsule_IsValid", ctypes.pythonapi)
+    )
+    if not is_valid(capsule, _NDTR_SIGNATURE):
+        return None
+    get_pointer = ctypes.PYFUNCTYPE(
+        ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p
+    )(("PyCapsule_GetPointer", ctypes.pythonapi))
+    return get_pointer(capsule, _NDTR_SIGNATURE)
+
+
 def _library_path() -> str:
-    digest = hashlib.sha256(_SOURCE.encode()).hexdigest()[:16]
+    """The cached library's path, keyed by everything built into it.
+
+    ``libnpyrandom`` is linked statically, so the key covers numpy's
+    version and the archive's bytes as well as the source: another numpy
+    builds another library instead of reusing stale draw code.
+    """
+    key = hashlib.sha256(_SOURCE.encode())
+    key.update(np.__version__.encode())
+    archive = _npyrandom_archive()
+    if archive is None:
+        key.update(b"no libnpyrandom")
+    else:
+        with open(archive, "rb") as handle:
+            key.update(handle.read())
+    digest = key.hexdigest()[:16]
     cache_root = os.environ.get("XDG_CACHE_HOME") or os.path.join(
         os.path.expanduser("~"), ".cache"
     )
@@ -675,7 +900,18 @@ def _library_path() -> str:
 
 
 def _build(compiler: str, library: str) -> bool:
-    """Compile the kernel to ``library``; atomic, best-effort."""
+    """Compile the kernel to ``library``; atomic, best-effort.
+
+    With numpy's ``libnpyrandom.a`` at hand the library links it in and
+    carries ``bo_search``; when the archive is missing or that link
+    fails, the library is built without ``bo_search`` and the other
+    entry points still load.
+    """
+    # (defines, link inputs) per attempt, the linked build first.
+    attempts = [([], [])]
+    archive = _npyrandom_archive()
+    if archive is not None:
+        attempts.insert(0, (["-DREPRO_BO_SEARCH"], [archive, "-lm"]))
     try:
         os.makedirs(os.path.dirname(library), exist_ok=True)
         with tempfile.TemporaryDirectory(
@@ -685,20 +921,21 @@ def _build(compiler: str, library: str) -> bool:
             with open(source, "w", encoding="utf-8") as handle:
                 handle.write(_SOURCE)
             artifact = os.path.join(workdir, "forest.so")
-            result = subprocess.run(
-                # No contraction into fused multiply-adds: the kernels
-                # mirror numpy's rounding operation by operation.
-                [
-                    compiler, "-O3", "-ffp-contract=off", "-shared", "-fPIC",
-                    "-o", artifact, source,
-                ],
-                capture_output=True,
-                timeout=120,
-            )
-            if result.returncode != 0:
-                return False
-            os.replace(artifact, library)
-        return True
+            for defines, inputs in attempts:
+                result = subprocess.run(
+                    # No contraction into fused multiply-adds: the kernels
+                    # mirror numpy's rounding operation by operation.
+                    [
+                        compiler, "-O3", "-ffp-contract=off", "-shared",
+                        "-fPIC", *defines, "-o", artifact, source, *inputs,
+                    ],
+                    capture_output=True,
+                    timeout=120,
+                )
+                if result.returncode == 0:
+                    os.replace(artifact, library)
+                    return True
+        return False
     except (OSError, subprocess.SubprocessError):
         return False
 
@@ -762,9 +999,15 @@ class _Entry:
 
 
 class _Kernel:
-    """The compiled library's entry points (see :data:`_SOURCE`)."""
+    """The compiled library's entry points (see :data:`_SOURCE`).
 
-    def __init__(self, lib: ctypes.CDLL) -> None:
+    ``ndtr`` is the address of scipy's ``ndtr`` (:func:`_ndtr_address`).
+    ``bo_search`` takes data addresses, as :attr:`_Entry.raw` does, and
+    is ``None`` when the library was built without ``libnpyrandom`` or
+    ``ndtr`` is ``None``.
+    """
+
+    def __init__(self, lib: ctypes.CDLL, ndtr: int | None) -> None:
         index = np.dtype(np.int64)
         real = np.dtype(np.float64)
         word = np.dtype(np.uint64)
@@ -832,6 +1075,26 @@ class _Kernel:
             ctypes.c_int64,   # mode
         ]
         self.bo_step.restype = ctypes.c_int64
+        self.ndtr = ndtr
+        self.bo_search = getattr(lib, "bo_search", None) if ndtr else None
+        if self.bo_search is not None:
+            self.bo_search.argtypes = [
+                ctypes.c_void_p,  # gram (n, n)
+                ctypes.c_int64,   # n
+                ctypes.c_void_p,  # table (n,)
+                ctypes.c_void_p,  # initial design
+                ctypes.c_int64,   # its size
+                ctypes.c_int64,   # max_iterations
+                ctypes.c_double,  # improvement threshold
+                ctypes.c_int64,   # patience
+                ctypes.c_double,  # nugget
+                ctypes.c_double,  # xi
+                ctypes.c_void_p,  # bitgen_t *
+                ctypes.c_void_p,  # ndtr
+                ctypes.c_void_p,  # out (int64)
+                ctypes.c_void_p,  # schur out (float64)
+            ]
+            self.bo_search.restype = ctypes.c_int64
 
 
 def load_kernel() -> _Kernel | None:
@@ -857,7 +1120,7 @@ def load_kernel() -> _Kernel | None:
                 _build(compiler, library)
         if os.path.exists(library):
             try:
-                kernel = _Kernel(ctypes.CDLL(library))
+                kernel = _Kernel(ctypes.CDLL(library), _ndtr_address())
             except (OSError, AttributeError):
                 kernel = None
     _CACHE["kernel"] = kernel

@@ -152,52 +152,57 @@ class GridPack:
         # the leaf assignment -- hence the output -- is bit-for-bit
         # unchanged.  Branch nodes in unreachable subtrees drop out of the
         # go-left table (their comparisons were dead weight per request).
+        # BFS numbering puts every child one level below its parent, so
+        # the reach sets travel level by level as packed row masks.
         static_slot = np.full(pack.n_nodes, -1, dtype=np.int64)
         static_slot[static_nodes] = np.arange(static_nodes.size)
+        static_words = _pack_rows(static_bits, self.n_words)
+        full = np.zeros(self.n_words * 64, dtype=bool)
+        full[: self.n_rows] = True
+        self._full_set = np.ascontiguousarray(
+            _pack_rows(full[None, :], self.n_words)[0]
+        )
         node_alive = np.zeros(pack.n_nodes, dtype=bool)
-        collapse_to: dict[int, int] = {}
-        full_rows = np.ones(self.n_rows, dtype=bool)
-        stack: list[tuple[int, np.ndarray]] = [
-            (int(root), full_rows) for root in pack.roots
-        ]
-        while stack:
-            node, rows = stack.pop()
-            node_alive[node] = bool(rows.any())
-            node_kind = kind[node]
-            if node_kind == _LEAF:
-                continue
-            left = int(pack.left[node])
-            right = int(pack.right[node])
-            if node_kind == _STATIC:
-                mask = static_bits[static_slot[node]]
-                left_rows = rows & mask
-                right_rows = rows & ~mask
-                n_left = int(np.count_nonzero(left_rows))
-                if n_left == int(np.count_nonzero(rows)):
-                    collapse_to[node] = left
-                elif n_left == 0:
-                    collapse_to[node] = right
-                stack.append((left, left_rows))
-                stack.append((right, right_rows))
-            else:
-                stack.append((left, rows))
-                stack.append((right, rows))
+        collapse_to = np.full(pack.n_nodes, -1, dtype=np.int64)
+        nodes = pack.roots
+        reach = np.repeat(self._full_set[None, :], nodes.size, axis=0)
+        while nodes.size:
+            node_alive[nodes] = reach.any(axis=1)
+            internal = kind[nodes] != _LEAF
+            nodes, reach = nodes[internal], reach[internal]
+            left = pack.left[nodes]
+            right = pack.right[nodes]
+            is_static = kind[nodes] == _STATIC
+            masks = static_words[static_slot[nodes[is_static]]]
+            left_reach = reach.copy()
+            right_reach = reach.copy()
+            left_reach[is_static] &= masks
+            right_reach[is_static] &= ~masks
+            # Every reachable row goes left (an empty reach included), or
+            # none does.
+            all_left = is_static & (left_reach == reach).all(axis=1)
+            none_left = is_static & ~all_left & ~left_reach.any(axis=1)
+            collapse_to[nodes[all_left]] = left[all_left]
+            collapse_to[nodes[none_left]] = right[none_left]
+            nodes = np.concatenate((left, right))
+            reach = np.concatenate((left_reach, right_reach))
 
-        # BFS numbering puts every child after its parent, so a reverse
-        # sweep resolves collapse chains in one pass.
-        final = np.arange(pack.n_nodes, dtype=np.int64)
-        for node in sorted(collapse_to, reverse=True):
-            final[node] = final[collapse_to[node]]
-        collapsed = np.zeros(pack.n_nodes, dtype=bool)
-        if collapse_to:
-            collapsed[np.fromiter(collapse_to, dtype=np.int64)] = True
+        # A collapsed node points at a child, which may itself collapse:
+        # pointer jumping follows each chain to the node that survives.
+        collapsed = collapse_to >= 0
+        final = np.where(collapsed, collapse_to, np.arange(pack.n_nodes))
+        while True:
+            jumped = final[final]
+            if np.array_equal(jumped, final):
+                break
+            final = jumped
 
         keep_static = static_nodes[~collapsed[static_nodes]]
         self.n_static_compiled = int(static_nodes.size)
         self.n_static = int(keep_static.size)
         self.n_collapsed = self.n_static_compiled - self.n_static
         self._static_masks = np.ascontiguousarray(
-            _pack_rows(static_bits[static_slot[keep_static]], self.n_words)
+            static_words[static_slot[keep_static]]
         )
 
         # Request-constant branch nodes (reachable ones only), grouped by
@@ -254,12 +259,6 @@ class GridPack:
             self._scaled_column = -1
             self._scaled_base = np.empty(0, dtype=np.float64)
             self._prefix_masks = np.zeros((1, self.n_words), dtype=np.uint64)
-
-        full = np.zeros(self.n_words * 64, dtype=bool)
-        full[: self.n_rows] = True
-        self._full_set = np.ascontiguousarray(
-            _pack_rows(full[None, :], self.n_words)[0]
-        )
 
         # The fixed tables are validated and their data addresses taken
         # once here, not on every call.  Everything a call writes is

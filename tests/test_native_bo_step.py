@@ -26,12 +26,13 @@ numpy fallback and the reference:
 
 from __future__ import annotations
 
+import contextlib
 import functools
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.cloud.pricing import get_prices
@@ -175,19 +176,116 @@ def _signature(decision) -> tuple:
     )
 
 
+def _probe_order(decision) -> list[tuple[float, float]]:
+    return [tuple(point) for point in decision.grid.candidates.tolist()]
+
+
+def _crafted_trees(kind: str, n: int) -> np.ndarray:
+    """A one-tree ``(1, n)`` forest pass standing in for the real one.
+
+    - ``constant``: every candidate at ``-1e20``.  The Eq. 2 noise,
+      ``N(0, 0.01)`` there, is lost in rounding, so every probe observes
+      the same value and PI scores tie: the pick draws from the
+      generator.
+    - ``subsecond``: ``RF_t`` in ``(0, 1)``, where the noise scale is
+      ``0.01 * max(RF_t, 1) = 0.01``, not 1 % of ``RF_t``.
+    - ``ladder``: eight levels near ``2**70`` (noise lost again), each
+      exactly the 1 % improvement margin above the last, so a probe one
+      level above the incumbent sits on the strict ``>`` of the rule.
+    """
+    rng = np.random.default_rng(n)
+    if kind == "constant":
+        return np.full((1, n), -1e20)
+    if kind == "subsecond":
+        return rng.uniform(0.0, 1.0, (1, n))
+    levels = [2.0**70]
+    for _ in range(7):
+        levels.append(levels[-1] + 0.01 * levels[-1])
+    return -np.array(levels)[rng.integers(0, len(levels), n)][None, :]
+
+
+_ARMS = ("native loop", "python loop, native posterior", "python loop, numpy posterior")
+
+
+def _determine_on_every_arm(predictor, request, seed, trees, **kwargs):
+    """``determine`` from one seed on each arm: its decision signature,
+    probe order and the generator's end state, plus how many native
+    searches each arm ran."""
+    outcomes, searches = [], []
+    for arm in _ARMS:
+        predictor._rng = np.random.default_rng(seed)
+        calls = []
+        bo_search = KERNEL.bo_search
+
+        def counted(*args):
+            calls.append(args)
+            return bo_search(*args)
+
+        with contextlib.ExitStack() as stack:
+            stack.enter_context(mock.patch.object(KERNEL, "bo_search", counted))
+            if trees != "forest":
+                grid_tree_matrix = predictor._grid_tree_matrix
+                stack.enter_context(mock.patch.object(
+                    predictor,
+                    "_grid_tree_matrix",
+                    lambda *args: _crafted_trees(
+                        trees, grid_tree_matrix(*args).shape[1]
+                    ),
+                ))
+            if arm != "native loop":
+                stack.enter_context(mock.patch.object(
+                    predictor_module, "search_table", lambda *a, **k: None
+                ))
+            if arm == "python loop, numpy posterior":
+                stack.enter_context(mock.patch.object(
+                    predictor_module, "BayesianOptimizer", _NumpyOptimizer
+                ))
+            decision = predictor.determine(request, **kwargs)
+        outcomes.append((
+            _signature(decision),
+            _probe_order(decision),
+            predictor._rng.bit_generator.state,
+        ))
+        searches.append(len(calls))
+    return outcomes, searches
+
+
+_cap = st.one_of(st.none(), st.integers(min_value=0, max_value=12))
+
+
+@pytest.mark.skipif(
+    KERNEL is None or KERNEL.bo_search is None,
+    reason="native BO search unavailable",
+)
 @given(
     mode=st.sampled_from(_MODES),
     bound=st.sampled_from(_BOUNDS),
     knob=st.sampled_from([0.0, 0.3, 1.0]),
     max_iterations=st.integers(min_value=1, max_value=60),
+    cap_vm=_cap,
+    cap_sl=_cap,
+    trees=st.sampled_from(["forest", "constant", "subsecond", "ladder"]),
     input_gb=st.sampled_from([8.0, 16.0, 32.0, 100.0]),
     waiting=st.integers(min_value=0, max_value=25),
     history_s=st.floats(min_value=10.0, max_value=900.0),
     seed=st.integers(min_value=0, max_value=2**32 - 1),
 )
+# PI ties, broken by the generator.
+@example("hybrid", 8, 0.3, 60, None, None, "constant", 16.0, 2, 120.0, 0)
+# Sub-second estimates, and the strict improvement rule.
+@example("hybrid", 12, 0.3, 60, None, None, "subsecond", 16.0, 2, 120.0, 1)
+@example("hybrid", 12, 0.0, 60, None, None, "ladder", 16.0, 2, 120.0, 2)
+# One probe: the loop ends inside the initial design.
+@example("hybrid", 12, 0.3, 1, None, None, "forest", 32.0, 0, 300.0, 3)
+# Five candidates, every one probed before patience runs out.
+@example("hybrid", 12, 0.3, 60, 1, 2, "forest", 8.0, 1, 90.0, 4)
+# A patience stop on the full grid, and a quota-capped grid.
+@example("hybrid", 12, 0.3, 60, None, None, "forest", 100.0, 5, 400.0, 5)
+@example("hybrid", 12, 1.0, 60, 3, 5, "forest", 16.0, 3, 200.0, 6)
 @settings(max_examples=80, deadline=None)
 def test_determine_is_engine_independent(
-    mode, bound, knob, max_iterations, input_gb, waiting, history_s, seed
+    mode, bound, knob, max_iterations, cap_vm, cap_sl, trees, input_gb,
+    waiting, history_s, seed,
 ):
     predictor = _predictor(bound)
     request = PredictionRequest(
@@ -197,15 +295,18 @@ def test_determine_is_engine_independent(
         historical_duration_s=history_s,
         num_waiting_apps=waiting,
     )
-    outcomes = []
-    for optimizer in (BayesianOptimizer, _NumpyOptimizer):
-        predictor._rng = np.random.default_rng(seed)
-        with mock.patch.object(predictor_module, "BayesianOptimizer", optimizer):
-            decision = predictor.determine(
-                request, knob=knob, mode=mode, max_iterations=max_iterations
-            )
-        outcomes.append((_signature(decision), predictor._rng.bit_generator.state))
+    outcomes, searches = _determine_on_every_arm(
+        predictor, request, seed, trees, knob=knob, mode=mode,
+        max_iterations=max_iterations, max_vm=cap_vm, max_sl=cap_sl,
+    )
+    assert searches == [1, 0, 0]
+    # The native loop steps the native posterior with bo_step's own
+    # arithmetic: bitwise the Python loop on it, ties included.
     assert outcomes[0] == outcomes[1]
+    # The numpy posterior agrees to rounding only, and the crafted
+    # tables put PI scores in exact ties that rounding can split.
+    if trees in ("forest", "subsecond"):
+        assert outcomes[1] == outcomes[2]
 
 
 @pytest.mark.parametrize("name", ["ei", "ucb"])
