@@ -535,9 +535,9 @@ def search_table(
 
     Returns the probed candidates in order followed by the incumbent,
     and the convergence flag; or ``None`` when this search cannot stand
-    in for ``maximize``: no ``bo_search`` in the loaded kernel, an
-    acquisition other than PI, a non-finite table entry, or arguments
-    ``maximize`` rejects (it raises for those).
+    in for ``maximize``: no ``bo_search`` or no scipy ``ndtr`` in the
+    loaded kernel, an acquisition other than PI, a non-finite table
+    entry, or arguments ``maximize`` rejects (it raises for those).
     """
     kernel = forest_native.load_kernel()
     search = None if kernel is None else kernel.bo_search
@@ -546,6 +546,7 @@ def search_table(
     if (
         search is None
         or type(acquisition) is not ProbabilityOfImprovement
+        or kernel.ndtr is None
         or n == 0
         or np.shape(gram) != (n, n)
         or min(n_initial, patience, max_iterations) < 1

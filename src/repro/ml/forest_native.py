@@ -68,13 +68,15 @@ and its Gaussian cdf are not re-implementations:
   only when the capsule's signature is exactly :data:`_NDTR_SIGNATURE`.
 
 The library's cache key covers numpy's version and the archive's bytes.
-Without the archive, when that link fails or without a matching capsule,
-``bo_search`` is ``None`` and the other four entry points still load.
+Without the archive or when that link fails, ``bo_search`` is ``None``;
+without a matching capsule, ``ndtr`` is.  Either way the other four
+entry points still load and searches run in Python.
 """
 
 from __future__ import annotations
 
 import ctypes
+import functools
 import hashlib
 import os
 import subprocess
@@ -1001,13 +1003,12 @@ class _Entry:
 class _Kernel:
     """The compiled library's entry points (see :data:`_SOURCE`).
 
-    ``ndtr`` is the address of scipy's ``ndtr`` (:func:`_ndtr_address`).
     ``bo_search`` takes data addresses, as :attr:`_Entry.raw` does, and
-    is ``None`` when the library was built without ``libnpyrandom`` or
-    ``ndtr`` is ``None``.
+    is ``None`` when the library was built without ``libnpyrandom``; it
+    runs only with :attr:`ndtr`.
     """
 
-    def __init__(self, lib: ctypes.CDLL, ndtr: int | None) -> None:
+    def __init__(self, lib: ctypes.CDLL) -> None:
         index = np.dtype(np.int64)
         real = np.dtype(np.float64)
         word = np.dtype(np.uint64)
@@ -1075,8 +1076,7 @@ class _Kernel:
             ctypes.c_int64,   # mode
         ]
         self.bo_step.restype = ctypes.c_int64
-        self.ndtr = ndtr
-        self.bo_search = getattr(lib, "bo_search", None) if ndtr else None
+        self.bo_search = getattr(lib, "bo_search", None)
         if self.bo_search is not None:
             self.bo_search.argtypes = [
                 ctypes.c_void_p,  # gram (n, n)
@@ -1095,6 +1095,14 @@ class _Kernel:
                 ctypes.c_void_p,  # schur out (float64)
             ]
             self.bo_search.restype = ctypes.c_int64
+
+    @functools.cached_property
+    def ndtr(self) -> int | None:
+        """The address of scipy's ``ndtr`` (:func:`_ndtr_address`), or
+        ``None``.  Looked up on first use: the capsule's module costs
+        about 1 MB of memory, which a process that never searches does
+        not pay."""
+        return _ndtr_address()
 
 
 def load_kernel() -> _Kernel | None:
@@ -1120,7 +1128,7 @@ def load_kernel() -> _Kernel | None:
                 _build(compiler, library)
         if os.path.exists(library):
             try:
-                kernel = _Kernel(ctypes.CDLL(library), _ndtr_address())
+                kernel = _Kernel(ctypes.CDLL(library))
             except (OSError, AttributeError):
                 kernel = None
     _CACHE["kernel"] = kernel

@@ -64,12 +64,12 @@ def _pack_rows(bits: np.ndarray, n_words: int) -> np.ndarray:
     layout ``forest_grid_matrix`` walks with ctz.
     """
     n, n_rows = bits.shape
-    padded = np.zeros((n, n_words * 64), dtype=np.uint64)
+    padded = np.zeros((n, n_words * 64), dtype=bool)
     padded[:, :n_rows] = bits
-    shifts = np.arange(64, dtype=np.uint64)
-    return (padded.reshape(n, n_words, 64) << shifts).sum(
-        axis=2, dtype=np.uint64
-    )
+    # Little-endian bit order within bytes and bytes within words: bit
+    # ``row`` lands at position ``row & 63`` of word ``row >> 6``.
+    packed = np.packbits(padded, axis=1, bitorder="little")
+    return packed.view("<u8").astype(np.uint64, copy=False)
 
 
 class GridPack:

@@ -13,7 +13,9 @@ The search draws from the predictor's generator through numpy's static
 - without the archive, with a failed link or without a matching capsule,
   the library still loads its other entry points and ``determine``
   falls back to :meth:`BayesianOptimizer.maximize` with the same
-  decisions (the golden digest of ``tests/test_determine_golden.py``).
+  decisions (the golden digest of ``tests/test_determine_golden.py``);
+- a search that fails raises what ``maximize`` raises, after the same
+  draws.
 """
 
 from __future__ import annotations
@@ -27,6 +29,8 @@ import pytest
 from scipy.special import cython_special, ndtr
 
 from repro.ml import forest_native
+from repro.ml.acquisition import ProbabilityOfImprovement
+from repro.ml.bayesian_optimizer import BayesianOptimizer, search_table
 
 from test_determine_golden import (
     GOLDEN_DETERMINE_DIGEST,
@@ -38,7 +42,7 @@ from test_determine_golden import (
 KERNEL = forest_native.load_kernel()
 native_only = pytest.mark.skipif(KERNEL is None, reason="native kernel unavailable")
 search_only = pytest.mark.skipif(
-    KERNEL is None or KERNEL.bo_search is None,
+    KERNEL is None or KERNEL.bo_search is None or KERNEL.ndtr is None,
     reason="native BO search unavailable",
 )
 
@@ -59,8 +63,8 @@ def _reload(monkeypatch, cache_home=None):
     return forest_native.load_kernel()
 
 
-def _assert_degrades_to_maximize(kernel):
-    assert kernel is not None and kernel.bo_search is None
+def _assert_degrades_to_maximize(kernel, missing):
+    assert kernel is not None and getattr(kernel, missing) is None
     for name in _ENTRY_POINTS:
         assert getattr(kernel, name) is not None
     assert determine_digest() == GOLDEN_DETERMINE_DIGEST
@@ -69,7 +73,7 @@ def _assert_degrades_to_maximize(kernel):
 @native_only
 def test_missing_npyrandom_archive_degrades(monkeypatch, tmp_path):
     monkeypatch.setattr(forest_native, "_npyrandom_archive", lambda: None)
-    _assert_degrades_to_maximize(_reload(monkeypatch, tmp_path))
+    _assert_degrades_to_maximize(_reload(monkeypatch, tmp_path), "bo_search")
 
 
 @native_only
@@ -77,7 +81,9 @@ def test_failed_npyrandom_link_degrades(monkeypatch, tmp_path):
     archive = tmp_path / "libnpyrandom.a"
     archive.write_bytes(b"not an archive")
     monkeypatch.setattr(forest_native, "_npyrandom_archive", lambda: str(archive))
-    _assert_degrades_to_maximize(_reload(monkeypatch, tmp_path / "cache"))
+    _assert_degrades_to_maximize(
+        _reload(monkeypatch, tmp_path / "cache"), "bo_search"
+    )
 
 
 @native_only
@@ -89,7 +95,9 @@ def test_unmatched_ndtr_capsule_degrades(monkeypatch, capsule):
     else:
         # The complex ndtr: same name family, another C signature.
         monkeypatch.setitem(capi, "__pyx_fuse_1ndtr", capi["__pyx_fuse_0ndtr"])
-    _assert_degrades_to_maximize(_reload(monkeypatch))
+    kernel = _reload(monkeypatch)
+    assert kernel.bo_search is not None
+    _assert_degrades_to_maximize(kernel, "ndtr")
 
 
 def test_library_key_covers_numpy_and_the_archive(monkeypatch, tmp_path):
@@ -261,3 +269,49 @@ def test_determine_blocks_while_the_generator_lock_is_held(monkeypatch):
     assert [_signature(decision) for decision in decisions] == [expected]
     # The search ran, serially and in the worker, under the lock.
     assert held == [True, True]
+
+
+# ---------------------------------------------------------------------------
+# Errors the search reports as maximize raises them.
+# ---------------------------------------------------------------------------
+
+
+def _maximize_table(table, gram, rng):
+    """``maximize`` with the Eq. 2 objective over ``table``."""
+    candidates = np.arange(float(table.size))[:, None]
+
+    def objective(point):
+        predicted = float(table[int(point[0])])
+        return -(predicted + rng.normal(0.0, 0.01 * max(predicted, 1.0)))
+
+    return BayesianOptimizer(
+        objective, candidates, n_initial=2, gram=gram, rng=rng
+    ).maximize(60)
+
+
+@search_only
+@pytest.mark.parametrize(
+    "table, gram, error",
+    [
+        # The second probe's Schur complement is 1 + noise - 4 / (1 + noise).
+        (np.array([100.0, 200.0]), np.array([[1.0, 2.0], [2.0, 1.0]]), ValueError),
+        # Eq. 2's noise overflows RF_t to infinity: NaN posterior, NaN
+        # PI, and numpy's argmax finds no maximum.
+        (np.full(6, 1.7e308), np.eye(6), IndexError),
+    ],
+)
+def test_search_table_raises_as_maximize_does(table, gram, error):
+    messages, states = [], []
+    for run in (
+        lambda rng: search_table(
+            table, gram, rng, ProbabilityOfImprovement(), 2, 0.01, 10, 60
+        ),
+        lambda rng: _maximize_table(table, gram, rng),
+    ):
+        rng = np.random.default_rng(3)
+        with pytest.raises(error) as raised:
+            run(rng)
+        messages.append(str(raised.value))
+        states.append(rng.bit_generator.state)
+    assert messages[0] == messages[1]
+    assert states[0] == states[1]

@@ -254,7 +254,7 @@ _cap = st.one_of(st.none(), st.integers(min_value=0, max_value=12))
 
 
 @pytest.mark.skipif(
-    KERNEL is None or KERNEL.bo_search is None,
+    KERNEL is None or KERNEL.bo_search is None or KERNEL.ndtr is None,
     reason="native BO search unavailable",
 )
 @given(
