@@ -124,7 +124,7 @@ def test_library_key_covers_numpy_and_the_archive(monkeypatch, tmp_path):
 # The linked samplers and the capsule's ndtr, driven from C.
 # ---------------------------------------------------------------------------
 
-_DRIVER = r"""
+_CALLERS = r"""
 /* kinds[i] == 0: a normal draw with scale 1 + i % 7; otherwise an
  * integers(kinds[i]) draw, as Generator.integers makes it. */
 void draw(bitgen_t *bitgen, const int64_t *kinds, int64_t n, double *out)
@@ -149,17 +149,17 @@ void apply(double (*f)(double, int), const double *x, int64_t n, double *out)
 
 
 @pytest.fixture(scope="module")
-def driver(tmp_path_factory):
-    """The kernel's libnpyrandom declarations and a two-function driver,
+def callers(tmp_path_factory):
+    """Two C functions over the kernel's libnpyrandom declarations,
     linked against the same archive."""
     archive = forest_native._npyrandom_archive()
     compiler = forest_native._compiler()
     if KERNEL is None or KERNEL.ndtr is None or archive is None or compiler is None:
         pytest.skip("native BO search unavailable")
-    workdir = tmp_path_factory.mktemp("driver")
-    source = workdir / "driver.c"
-    source.write_text(forest_native._NPYRANDOM_API + _DRIVER)
-    library = workdir / "driver.so"
+    workdir = tmp_path_factory.mktemp("callers")
+    source = workdir / "callers.c"
+    source.write_text(forest_native._NPYRANDOM_API + _CALLERS)
+    library = workdir / "callers.so"
     subprocess.run(
         [compiler, "-O2", "-shared", "-fPIC", "-o", str(library), str(source),
          archive, "-lm"],
@@ -173,18 +173,18 @@ def driver(tmp_path_factory):
     return lib
 
 
-def test_capsule_ndtr_is_the_ufunc_bitwise(driver):
+def test_capsule_ndtr_is_the_ufunc_bitwise(callers):
     values = np.concatenate([
         [np.inf, -np.inf, np.nan, 0.0, -0.0],
         np.linspace(-40.0, 40.0, 80_001),
         np.random.default_rng(0).normal(0.0, 10.0, 10**6),
     ])
     out = np.empty_like(values)
-    driver.apply(KERNEL.ndtr, values.ctypes.data, values.size, out.ctypes.data)
+    callers.apply(KERNEL.ndtr, values.ctypes.data, values.size, out.ctypes.data)
     assert out.view(np.uint64).tobytes() == ndtr(values).view(np.uint64).tobytes()
 
 
-def test_linked_draws_leave_the_generator_state_of_its_own_calls(driver):
+def test_linked_draws_leave_the_generator_state_of_its_own_calls(callers):
     # Interleaved normal and bounded-integer draws, ranges past 2**32
     # included (the 64-bit Lemire branch) and ranges of 1 (no draw).
     kinds = np.random.default_rng(1).choice(
@@ -193,7 +193,7 @@ def test_linked_draws_leave_the_generator_state_of_its_own_calls(driver):
     native, reference = np.random.default_rng(7), np.random.default_rng(7)
     out = np.empty(kinds.size)
     with native.bit_generator.lock:
-        driver.draw(
+        callers.draw(
             native.bit_generator.ctypes.bit_generator,
             kinds.ctypes.data,
             kinds.size,

@@ -16,10 +16,14 @@ numpy fallback and the reference:
 - the z-scores it hands to ``ndtr`` are bitwise the ones
   :class:`~repro.ml.acquisition.ProbabilityOfImprovement` computes from
   the native mean and std, for exactly the unprobed candidates;
-- ``determine`` makes the same decisions and leaves the predictor's
-  generator in the same state on both engines.  The surrogates agree to
-  rounding, not bitwise, so this rests on no PI score sitting in a
-  near-tie, as in ``tests/test_properties.py``;
+- ``determine`` makes the same decisions, in the same probe order, and
+  leaves the predictor's generator in the same state whether its search
+  runs as the native ``bo_search`` or as the Python loop on either
+  posterior.  The native search and the Python loop on the native
+  posterior share ``bo_step``'s arithmetic, so they agree bitwise even
+  on exact PI ties.  The two surrogates agree to rounding only, so the
+  numpy arm's agreement rests on no PI score sitting in a near-tie, as
+  in ``tests/test_properties.py``;
 - a Gram that is not positive semi-definite raises the same error,
   naming the same candidate, on both.
 """
@@ -204,7 +208,11 @@ def _crafted_trees(kind: str, n: int) -> np.ndarray:
     return -np.array(levels)[rng.integers(0, len(levels), n)][None, :]
 
 
-_ARMS = ("native loop", "python loop, native posterior", "python loop, numpy posterior")
+_ARMS = (
+    "native loop",
+    "python loop, native posterior",
+    "python loop, numpy posterior",
+)
 
 
 def _determine_on_every_arm(predictor, request, seed, trees, **kwargs):
