@@ -66,6 +66,16 @@ __all__ = [
 ]
 
 
+#: The surrogate's default observation-noise standard deviation, and the
+#: one :func:`search_table` uses.
+NOISE = 1e-2
+
+
+def _nugget(noise: float) -> float:
+    """The probed block's diagonal term for observation noise ``noise``."""
+    return noise**2 + 1e-10
+
+
 @dataclasses.dataclass(frozen=True)
 class Probe:
     """One objective evaluation: candidate point and observed value."""
@@ -98,7 +108,7 @@ class CandidatePosterior:
         self._gram = np.asarray(gram, dtype=np.float64)
         n = self._gram.shape[0]
         self._diagonal = self._gram.diagonal()
-        self._nugget = noise**2 + 1e-10
+        self._nugget = _nugget(noise)
         self._rows = np.empty((n, n + 2))
         self._targets = np.empty(n)
         self._moments = np.zeros((3, n))
@@ -195,7 +205,7 @@ class NativePosterior:
         state.gram = self._gram.ctypes.data
         state.unprobed = unprobed.ctypes.data
         state.n = n
-        state.nugget = noise**2 + 1e-10
+        state.nugget = _nugget(noise)
         self._capacity = 0
         self._grow(n)
 
@@ -339,7 +349,7 @@ class BayesianOptimizer:
         n_initial: int = 3,
         improvement_threshold: float = 0.01,
         patience: int = 10,
-        noise: float = 1e-2,
+        noise: float = NOISE,
         length_scale: float | None = None,
         gram: np.ndarray | None = None,
         rng: np.random.Generator | int | None = None,
@@ -517,7 +527,6 @@ def search_table(
     improvement_threshold: float,
     patience: int,
     max_iterations: int,
-    noise: float = 1e-2,
 ) -> tuple[np.ndarray, bool] | None:
     """:meth:`BayesianOptimizer.maximize` on a table, in one native call.
 
@@ -529,9 +538,10 @@ def search_table(
     draws -- with numpy's own samplers on ``rng``'s bit generator and
     scipy's own ``ndtr``, so the probes, the incumbent, the convergence
     flag and ``rng``'s end state are those of ``maximize`` with the same
-    arguments and that objective.  The initial design is drawn here,
-    with the same ``rng.choice`` call.  The bit generator's lock is held
-    through the call, as ``rng``'s own methods hold it.
+    arguments, that objective and the default :data:`NOISE`.  The
+    initial design is drawn here, with the same ``rng.choice`` call.  The
+    bit generator's lock is held through the call, as ``rng``'s own
+    methods hold it.
 
     Returns the probed candidates in order followed by the incumbent,
     and the convergence flag; or ``None`` when this search cannot stand
@@ -551,7 +561,6 @@ def search_table(
         or np.shape(gram) != (n, n)
         or min(n_initial, patience, max_iterations) < 1
         or improvement_threshold < 0
-        or noise < 0
         or not np.isfinite(table).all()
     ):
         return None
@@ -572,7 +581,7 @@ def search_table(
             # An integer stall count reaches a fractional patience at
             # its ceiling.
             math.ceil(patience),
-            noise**2 + 1e-10,
+            _nugget(NOISE),
             acquisition.xi,
             bit_generator.ctypes.bit_generator,
             kernel.ndtr,
