@@ -18,5 +18,5 @@ setup(
     python_requires=">=3.10",
     package_dir={"": "src"},
     packages=find_packages(where="src"),
-    install_requires=["numpy", "scipy", "networkx"],
+    install_requires=["numpy", "scipy"],
 )

@@ -9,7 +9,6 @@ from __future__ import annotations
 import dataclasses
 
 import numpy as np
-from scipy import stats as scipy_stats
 
 __all__ = ["MeanCI", "confidence_interval", "mean_and_ci"]
 
@@ -53,6 +52,9 @@ def mean_and_ci(samples: np.ndarray, confidence: float = 0.90) -> MeanCI:
     mean = float(values.mean())
     if values.size < 2:
         return MeanCI(mean=mean, half_width=0.0, confidence=confidence, n=1)
+    # Imported here: scipy.stats is large and only reporting needs it.
+    from scipy import stats as scipy_stats
+
     sem = float(values.std(ddof=1) / np.sqrt(values.size))
     t_value = float(scipy_stats.t.ppf(0.5 + confidence / 2.0, values.size - 1))
     return MeanCI(

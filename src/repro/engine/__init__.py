@@ -6,7 +6,8 @@ that preserves the interfaces Smartpick actually touches:
 
 - :mod:`repro.engine.simulator` -- the event-heap simulation core.
 - :mod:`repro.engine.dag` -- queries as DAGs of map/shuffle stages with
-  dependent tasks (validated with :mod:`networkx`).
+  dependent tasks (validated, and put in execution order, once per
+  query by a stdlib Kahn's pass).
 - :mod:`repro.engine.task` -- task instances and duration sampling.
 - :mod:`repro.engine.executor` -- executor slots on top of cloud instances.
 - :mod:`repro.engine.policies` -- SL termination policies: Smartpick's

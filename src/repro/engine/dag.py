@@ -5,14 +5,13 @@ stages that cannot start until all their dependencies are resolved"
 (Section 2.1).  A :class:`QuerySpec` is exactly that: stages with task
 counts, per-task compute demand (calibrated to a reference AWS VM core),
 input reads from object storage, and shuffle volumes between stages.
-Stage dependencies are validated as a DAG with :mod:`networkx`.
+Stage dependencies are validated as a DAG by one Kahn's pass when the
+query is built, which also fixes the stages' execution order.
 """
 
 from __future__ import annotations
 
 import dataclasses
-
-import networkx as nx
 
 __all__ = ["StageSpec", "QuerySpec"]
 
@@ -84,36 +83,48 @@ class QuerySpec:
                 raise ValueError(
                     f"stage {stage.stage_id} depends on unknown stages {missing}"
                 )
-        graph = self.dependency_graph()
-        if not nx.is_directed_acyclic_graph(graph):
-            raise ValueError(f"query {self.query_id} has a dependency cycle")
+        # Frozen dataclass: stash the order via object.__setattr__.
+        object.__setattr__(self, "_topo_order", self._kahn_order())
 
-    def dependency_graph(self) -> "nx.DiGraph":
-        """The stage dependency DAG (edge = must-run-before)."""
-        graph = nx.DiGraph()
-        graph.add_nodes_from(stage.stage_id for stage in self.stages)
+    def _kahn_order(self) -> tuple[StageSpec, ...]:
+        """Stages in topological order, generation by generation.
+
+        Roots come in stage order; each later generation lists the stages
+        released by the one before, in release order (parents in order,
+        each parent's children in stage order).  Repeated ``depends_on``
+        entries count as one edge.  This is the order networkx's
+        ``topological_sort`` gives for the same graph.
+        """
+        by_id = {stage.stage_id: stage for stage in self.stages}
+        children: dict[int, list[int]] = {stage_id: [] for stage_id in by_id}
+        waiting: dict[int, int] = {}
         for stage in self.stages:
-            for parent in stage.depends_on:
-                graph.add_edge(parent, stage.stage_id)
-        return graph
+            parents = dict.fromkeys(stage.depends_on)
+            waiting[stage.stage_id] = len(parents)
+            for parent in parents:
+                children[parent].append(stage.stage_id)
+        generation = [stage_id for stage_id, count in waiting.items() if not count]
+        order: list[int] = []
+        while generation:
+            order.extend(generation)
+            released = []
+            for stage_id in generation:
+                for child in children[stage_id]:
+                    waiting[child] -= 1
+                    if not waiting[child]:
+                        released.append(child)
+            generation = released
+        if len(order) < len(by_id):
+            raise ValueError(f"query {self.query_id} has a dependency cycle")
+        return tuple(by_id[stage_id] for stage_id in order)
 
     def topological_stages(self) -> list[StageSpec]:
         """Stages in a valid execution order.
 
-        The order is memoized on first use: catalog specs are canonical
-        (``get_query`` caches them), so trace replay asks for the same
-        query's order millions of times and the networkx sort would
-        otherwise dominate submission cost.  A fresh list is returned
-        each call so callers may mutate their copy.
+        The order is computed once, when the query is built; a fresh list
+        is returned each call so callers may mutate their copy.
         """
-        cached = getattr(self, "_topo_cache", None)
-        if cached is None:
-            by_id = {stage.stage_id: stage for stage in self.stages}
-            order = nx.topological_sort(self.dependency_graph())
-            cached = tuple(by_id[stage_id] for stage_id in order)
-            # Frozen dataclass: stash the cache via object.__setattr__.
-            object.__setattr__(self, "_topo_cache", cached)
-        return list(cached)
+        return list(self._topo_order)
 
     @property
     def n_stages(self) -> int:
@@ -137,8 +148,12 @@ class QuerySpec:
     @property
     def critical_path_length(self) -> int:
         """Stages on the longest dependency chain."""
-        graph = self.dependency_graph()
-        return nx.dag_longest_path_length(graph) + 1
+        depth: dict[int, int] = {}
+        for stage in self._topo_order:
+            depth[stage.stage_id] = 1 + max(
+                (depth[parent] for parent in stage.depends_on), default=0
+            )
+        return max(depth.values())
 
     def scaled_to_input(self, input_gb: float) -> "QuerySpec":
         """The same query against a different dataset size.

@@ -11,7 +11,9 @@ No ML library is available offline, so this package implements the full stack:
   (one lock-step descent for the whole ensemble, optionally through a
   compiled kernel from :mod:`repro.ml.forest_native`).
 - :mod:`repro.ml.kernels` -- covariance kernels for Gaussian Processes.
-- :mod:`repro.ml.gaussian_process` -- exact GP regression via Cholesky.
+- :mod:`repro.ml.gaussian_process` -- exact GP regression via Cholesky
+  (the reference for the BO search's posterior; exported lazily, so
+  :mod:`scipy.linalg` loads only when it is used).
 - :mod:`repro.ml.acquisition` -- PI, EI and UCB acquisition functions.
 - :mod:`repro.ml.bayesian_optimizer` -- BO over discrete candidate sets.
 - :mod:`repro.ml.dataset` -- hold-out splits and the paper's +-5 % data-burst
@@ -32,7 +34,6 @@ from repro.ml.dataset import DataBurstAugmenter, Dataset, train_test_split
 from repro.ml.decision_tree import DecisionTreeRegressor
 from repro.ml.forest_inference import PackedForest
 from repro.ml.grid_inference import GridPack
-from repro.ml.gaussian_process import GaussianProcessRegressor
 from repro.ml.kernels import Kernel, Matern52Kernel, RBFKernel, WhiteKernel
 from repro.ml.metrics import (
     accuracy_within,
@@ -71,3 +72,12 @@ __all__ = [
     "standard_error_of_regression",
     "train_test_split",
 ]
+
+
+def __getattr__(name: str):
+    # PEP 562: load the exact GP, and scipy.linalg with it, on first use.
+    if name == "GaussianProcessRegressor":
+        from repro.ml.gaussian_process import GaussianProcessRegressor
+
+        return GaussianProcessRegressor
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

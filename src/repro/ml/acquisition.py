@@ -14,7 +14,8 @@ largest objective value observed so far.
 The Gaussian cdf is :func:`scipy.special.ndtr` -- the function
 ``scipy.stats.norm.cdf`` evaluates underneath, without the distribution
 wrapper's per-call argument handling (the BO loop scores candidates on
-every probe).
+every probe).  EI's pdf comes from :mod:`scipy.stats`, imported on
+first use: no PI search loads it.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ import abc
 
 import numpy as np
 from scipy.special import ndtr
-from scipy.stats import norm
 
 __all__ = [
     "AcquisitionFunction",
@@ -87,6 +87,8 @@ class ExpectedImprovement(AcquisitionFunction):
     def __call__(
         self, mean: np.ndarray, std: np.ndarray, best_value: float
     ) -> np.ndarray:
+        from scipy.stats import norm
+
         mean = np.asarray(mean, dtype=np.float64)
         std = np.maximum(np.asarray(std, dtype=np.float64), 1e-12)
         improvement = mean - best_value - self.xi

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.engine import QuerySpec, Simulator, StageSpec
 from repro.workloads import make_random_query, make_uniform_query
@@ -275,6 +277,55 @@ class TestQuerySpec:
         query = self._chain()
         with pytest.raises(ValueError):
             query.scaled_to_input(0.0)
+
+
+@st.composite
+def stage_sets(draw):
+    """Stages with unsorted ids, repeated and self dependencies and,
+    unless the draw picks a rank order to respect, cycles."""
+    n = draw(st.integers(1, 9))
+    ids = draw(st.lists(st.integers(0, 50), min_size=n, max_size=n, unique=True))
+    rank = draw(st.permutations(range(n))) if draw(st.booleans()) else None
+    stages = []
+    for position, stage_id in enumerate(ids):
+        parents = [
+            ids[other] for other in range(n)
+            if rank is None or rank[other] < rank[position]
+        ]
+        depends_on = ()
+        if parents:
+            depends_on = tuple(draw(st.lists(st.sampled_from(parents), max_size=4)))
+        stages.append(StageSpec(stage_id, 1, 1.0, depends_on=depends_on))
+    return tuple(stages)
+
+
+@pytest.fixture(scope="module")
+def networkx():
+    return pytest.importorskip("networkx")
+
+
+class TestDagMatchesNetworkx:
+    """The stdlib DAG pass gives networkx's order, depth and errors."""
+
+    @given(stages=stage_sets())
+    def test_order_depth_and_cycles(self, networkx, stages):
+        graph = networkx.DiGraph()
+        graph.add_nodes_from(stage.stage_id for stage in stages)
+        for stage in stages:
+            for parent in stage.depends_on:
+                graph.add_edge(parent, stage.stage_id)
+        if not networkx.is_directed_acyclic_graph(graph):
+            with pytest.raises(ValueError) as cycle:
+                QuerySpec("q", "test", stages, 1.0)
+            assert str(cycle.value) == "query q has a dependency cycle"
+            return
+        query = QuerySpec("q", "test", stages, 1.0)
+        by_id = {stage.stage_id: stage for stage in stages}
+        expected = [by_id[stage_id] for stage_id in networkx.topological_sort(graph)]
+        assert query.topological_stages() == expected
+        assert query.critical_path_length == (
+            networkx.dag_longest_path_length(graph) + 1
+        )
 
 
 class TestGenerators:
