@@ -757,9 +757,10 @@ def _scenarios() -> tuple[Scenario, ...]:
             # this trace's hand-over sequence (seeds are cheap; coverage
             # is the point).
             fault_plan=FaultPlan(
-                seed=2, sl_failure_rate=0.05, sl_failure_delay_s=5.0
+                seed=3, sl_failure_rate=0.05, sl_failure_delay_s=5.0
             ),
             retry_policy=RetryPolicy(max_retries=4, backoff_base_s=2.0),
+            submission="presample",
         ),
         Scenario(
             name="faults-preemption-circuit-breaker",

@@ -101,51 +101,51 @@ GOLDEN_REPORT_DIGESTS: dict[tuple[str, bool], dict[str, str]] = {
             "2078aee0c06ce8dc613cde9e918d6688f6e44e3a7fecad456a5a5fbcd11d8254"
         ),
     },
-    ("object", False): {
+    ("presample", False): {
         "served": (
-            "77a6e1eacd15a18a9d89a946e61f862c76ab1e1687b70d9360336d076ee351d0"
+            "b4de46852142d9ca3bcc3f4258969fbfa6f216e3443338f62b5df33c002d549e"
         ),
         "slo_seconds": (
             "a970559125d5ccd0dbbbb7685636bbcae5ce7cac4e8d1c6954d2467616a9db8c"
         ),
         "pool_stats": (
-            "21fd01f661ca9bef1f5e4f9b7acb91ba1f3995b03775a99db39a1aaf4af67b1b"
+            "087a7d9002800f30eaef090c686e0cdecb2755d413763519e8ca84883261bc31"
         ),
         "keepalive_cost_dollars": (
-            "252589216b42b3077663ae6bf2de595d5381572cf3acef0580f3d0ab8d75a557"
+            "e82a58bc702100c4f45a62eb77a092ada9827a822ebe97cfb08687ab3fbca6b2"
         ),
         "keepalive_cost_by_shard": (
-            "4c9e7f7a0f377684343548ff31dbe290d1b0b886e6768ee93fe343e9e2bca0ff"
+            "1f03387f3736e8dd0ddd712a4739d2c2e0b87b4e03c397db0cf6e144aade4caf"
         ),
         "tenant_weights": (
             "7c727732f460f6b94b048f31b14718e41b1e3a750b8741dfea719f635b44f605"
         ),
         "tenant_peaks": (
-            "e851a72792b343fdd16cb5e446f8b483d2662116df74161c31d8cb9443417ff1"
+            "d8812c751d3c867385f1c7e6a17aa7d6d3bf642e646c104ff06c8dd208a244b3"
         ),
         "dropped": (
             "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945"
         ),
         "wasted_cost_dollars": (
-            "02509db99f6e4a9476525e3850183dca905fb78a317efc2028165cc38207a0fd"
+            "1d731b761e6b7363ee85cf210e4ca3579010b89552be182ee452b656f6fbe4ee"
         ),
         "wasted_cost_by_shard": (
-            "75e34367ff2c7ba6a91730858cbd292051c90fe197a1dc2a2998c38f8ef45017"
+            "43b63b50b1f5555d58913cd43265c56f85d1fa28f254453eb306fa0a7a89a8f5"
         ),
         "epochs_planned": (
             "4fc82b26aecb47d2868c4efbe3581732a3e7cbcc6c2efb32062c08170a05eeb8"
         ),
         "prewarm_cost_dollars": (
-            "e022c2be26f714c559efb35d56f5962fcc6effca2b43a67b47c94d5f003181b5"
+            "a0ae22a8c19bf0104645896b6de625e7763bbb22ec269cdd7bfb12b7d313b5ec"
         ),
         "tenant_in_flight_peaks": (
-            "c2d77f6d53ea5cf212214785692f643d26269494bf937117f5ccdc4f5ca33ae4"
+            "aaf6c05cd4679156d74e77360602a87a21a48208c7e9d6549a44121cd787fd23"
         ),
         "tenant_slos": (
             "1dceebf9d5a6a16dad1cb140acad2b86bfd129de59709c75ff0de45072636a5c"
         ),
         "stream": (
-            "db267379a38ca06a17206e3bda9c206e135f82721d193fd46d617dfaaffe7e61"
+            "7ca280164042de92c6dfa1c56f155245487ff2bd8054f03dc1a8872fd13fe5c5"
         ),
     },
 }
@@ -285,7 +285,7 @@ def report_digest(report) -> dict[str, str]:
     "submission, decision_reuse",
     [
         pytest.param("vector", True, id="columnar-vector"),
-        pytest.param("object", False, id="columnar-object"),
+        pytest.param("presample", False, id="columnar-object"),
     ],
 )
 def test_contended_replay_matches_golden(submission, decision_reuse):
@@ -299,7 +299,7 @@ def test_contended_replay_matches_golden(submission, decision_reuse):
     assert stats.work_steals > 0
     assert stats.leases_revoked > 0
     assert report.epochs_planned > 0
-    if submission == "object":
+    if submission == "presample":
         assert stats.coop_preemptions > 0
     assert (
         report_digest(report)

@@ -86,6 +86,7 @@ def replay(
     system_overrides: dict | None = None,
     **kwargs,
 ):
+    kwargs.setdefault("submission", "presample")
     simulator = ServingSimulator(
         build_uniform_system(seed, **(system_overrides or {})),
         slo_seconds=60.0,
