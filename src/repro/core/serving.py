@@ -1102,27 +1102,22 @@ class ServingSimulator:
         Forwarded to every replay's :class:`~repro.cloud.pool.ClusterPool`
         (named capacity partitions, placement policy, queue ordering).
     submission:
-        How decided arrivals are turned into running queries.
+        How decided arrivals are turned into running queries.  Both
+        values draw each query's task-duration noise as one block at
+        submit, so they differ in substrate, not in noise.
         ``"object"`` (default) builds one :class:`TaskScheduler
-        <repro.engine.scheduler.TaskScheduler>` per query, drawing task
-        duration noise scalar-by-scalar -- bit-for-bit the historical
-        path.  ``"presample"`` keeps the scheduler objects but draws
-        each query's noise as one vectorized block at submit (bitwise
-        the same numbers as ``"object"``; a stepping stone kept mostly
-        for pinning).  ``"vector"`` is the fast path: repeat arrivals
-        share a compiled :class:`~repro.engine.plan.StagePlan`, a
+        <repro.engine.scheduler.TaskScheduler>` per query.  ``"vector"``
+        is the fast path: repeat arrivals share a compiled
+        :class:`~repro.engine.plan.StagePlan`, a
         :class:`~repro.engine.plan.PlanRunner` simulates each query's
         wave timeline locally at lease grant instead of heap-stepping
         per task, and each sizing group leases through one
         :meth:`ClusterPool.acquire_many
-        <repro.cloud.pool.ClusterPool.acquire_many>` pass.  Reports are
-        field-for-field ``"presample"``'s (same rng stream, event-exact
-        pool interleaving).  Noise caveat: ``"object"`` draws at each
-        task dispatch, so *concurrent* queries interleave draws on the
-        shared rng; ``"presample"``/``"vector"`` draw each query's
-        block at submit.  Reports across that divide match exactly only
-        when queries never overlap -- pin ``"vector"`` against
-        ``"presample"``.
+        <repro.cloud.pool.ClusterPool.acquire_many>` pass.  Its reports
+        are field-for-field ``"object"``'s (same rng stream,
+        event-exact pool interleaving) with two known exceptions: a plan
+        runner cannot be cooperatively preempted, and it sorts a fault
+        kill that lands exactly on a worker's boot completion first.
     keep_queries:
         Whether the report retains its per-query ``served`` and
         ``dropped`` records (default ``True``).  Every aggregate comes
@@ -1210,10 +1205,10 @@ class ServingSimulator:
             raise ValueError("slo_seconds must be positive")
         if max_pending_admission is not None and max_pending_admission < 0:
             raise ValueError("max_pending_admission must be non-negative")
-        if submission not in ("object", "presample", "vector"):
+        if submission not in ("object", "vector"):
             raise ValueError(
-                f"unknown submission {submission!r}; choose 'object', "
-                "'presample' or 'vector'"
+                f"unknown submission {submission!r}; choose 'object' or "
+                "'vector'"
             )
         if isinstance(batch_window_s, str):
             if batch_window_s != "auto":
@@ -1361,7 +1356,7 @@ class _Replay:
         "sizing_bounds", "stream", "served", "dropped",
         "pending_admission", "states", "entries", "in_flight_total",
         "tenant_in_flight", "in_flight_peaks", "n_terminated", "rows",
-        "row_tenants", "vector", "presample", "plans", "policy_cache",
+        "row_tenants", "vector", "plans", "policy_cache",
         "open_group", "fault_seed", "decision_cache", "epochs_planned",
     )
 
@@ -1538,7 +1533,6 @@ class _Replay:
         self.rows: list[tuple] = []
         self.row_tenants: list[str] = []
         self.vector = serving.submission == "vector"
-        self.presample = serving.submission != "object"
         # Compiled execution plans, keyed by the memoized query object:
         # repeat arrivals of a class skip the per-query scheduler build.
         self.plans: dict[int, StagePlan] = {}
@@ -2008,7 +2002,6 @@ class _Replay:
                     pool=pool,
                     policy=policy,
                     duration_model=duration_model,
-                    presample=self.presample,
                     on_complete=functools.partial(self.complete, index),
                     on_failed=functools.partial(self.fail, index),
                     tenant=arrival.tenant,

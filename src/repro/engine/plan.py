@@ -26,19 +26,15 @@ task start would have given it, summed in the same order.
 
 Noise convention: a runner draws its query's entire duration-noise
 block in one vectorized call at submit time and consumes it in
-task-start order -- ``Generator.normal(0, sigma, size=n)`` consumes the
-rng stream bitwise-identically to ``n`` scalar draws, so this matches a
-presampling :class:`TaskScheduler` (``presample=True``) bit for bit.
-It intentionally differs from the default scalar convention, where
-draws interleave globally across in-flight queries in task-start order;
-that is why the fast path is opt-in (``submission="vector"``).  Under it
-serving runs every arrival through a ``PlanRunner`` and never through
-the per-task scheduler: the policies serving picks (relay and
-run-to-completion) are exactly those :func:`plan_supports` accepts, and
-a runner given any other policy raises ``ValueError`` instead of
-silently dropping its timeout semantics.
+task-start order, exactly as :class:`TaskScheduler` does, so the two
+match bit for bit.  Under ``submission="vector"`` serving runs every
+arrival through a ``PlanRunner`` and never through the per-task
+scheduler: the policies serving picks (relay and run-to-completion) are
+exactly those :func:`plan_supports` accepts, and a runner given any
+other policy raises ``ValueError`` instead of silently dropping its
+timeout semantics.
 
-Event-order fidelity vs the presampling event engine: within a query,
+Event-order fidelity vs the per-task event engine: within a query,
 every event is scheduled in local-chronological order, and relay SLs
 retired before their own boot get their boot event cancelled at grant
 time so the release-vs-boot tie cannot invert.  Across queries, events

@@ -256,7 +256,6 @@ def launch_query(
     tenant: str = DEFAULT_TENANT,
     deadline_s: float | None = None,
     preemptible: bool = False,
-    presample: bool = False,
 ) -> QueryExecution:
     """Start ``query`` against ``pool`` without advancing simulated time.
 
@@ -288,7 +287,6 @@ def launch_query(
         tenant=tenant,
         deadline_s=deadline_s,
         preemptible=preemptible,
-        presample=presample,
     )
     execution = QueryExecution(
         query=query,

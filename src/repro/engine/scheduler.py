@@ -64,7 +64,12 @@ class TaskScheduler:
         fresh-instances-per-query model; a shared pool adds warm starts,
         contention and queueing.
     duration_model:
-        Samples realised task durations per worker kind.
+        Realises task durations per worker kind.  The query's whole
+        duration-noise block is drawn in one call at submit and
+        consumed in task-start order, so concurrent queries never
+        interleave draws on a shared generator and a compiled
+        :class:`~repro.engine.plan.PlanRunner` reproduces the run bit
+        for bit.
     policy:
         Serverless termination policy (relay / segueing / run-to-end).
     listeners:
@@ -96,13 +101,6 @@ class TaskScheduler:
         only their remainder.  The preempted attempt's forfeited spend
         and the preemption count are exposed as :attr:`preempted_cost`
         and :attr:`n_preemptions`.
-    presample:
-        Draw the query's entire duration-noise block in one vectorized
-        call at submit time (consumed in task-start order) instead of
-        one scalar draw per task start.  This is the ``submission=
-        "vector"`` noise convention: results differ from the default
-        globally-interleaved draws, but match any other presampling
-        consumer (e.g. the compiled-plan fast path) bit for bit.
     """
 
     def __init__(
@@ -117,7 +115,6 @@ class TaskScheduler:
         tenant: str = DEFAULT_TENANT,
         deadline_s: float | None = None,
         preemptible: bool = False,
-        presample: bool = False,
     ) -> None:
         self.simulator = simulator
         self.pool = pool
@@ -129,8 +126,7 @@ class TaskScheduler:
         self.tenant = tenant
         self.deadline_s = deadline_s
         self.preemptible = preemptible
-        self.presample = presample
-        self._noise_block = None
+        self._noise_block: list[float] = []
         self._noise_cursor = 0
         #: Spend forfeited by cooperative preemptions of this query
         #: (sum of the revoked leases' costs) and how often it happened.
@@ -180,10 +176,9 @@ class TaskScheduler:
         now = self.simulator.now
         self._submitted_at = now
         self._notify("on_query_start", query, now)
-        if self.presample:
-            self._noise_block = self.duration_model.noise_block(
-                query.total_tasks
-            )
+        self._noise_block = self.duration_model.noise_block(
+            query.total_tasks
+        ).tolist()
 
         self._lease = self.pool.acquire(
             n_vm,
@@ -355,17 +350,10 @@ class TaskScheduler:
             # was fixed at the original start; only the remainder runs.
             duration = resume
         else:
-            if self._noise_block is not None:
-                expected = self.duration_model.expected(
-                    task.stage, executor.kind
-                )
-                noise = float(self._noise_block[self._noise_cursor])
-                self._noise_cursor += 1
-                duration = TaskDurationModel.realize(expected, noise)
-            else:
-                duration = self.duration_model.sample(
-                    task.stage, executor.kind
-                )
+            expected = self.duration_model.expected(task.stage, executor.kind)
+            noise = self._noise_block[self._noise_cursor]
+            self._noise_cursor += 1
+            duration = TaskDurationModel.realize(expected, noise)
             factor = self.pool.runtime_factor(executor.instance)
             if factor != 1.0:
                 duration *= factor  # straggler: same work, inflated runtime

@@ -57,7 +57,7 @@ class Task:
 
 
 class TaskDurationModel:
-    """Samples realised task durations for a provider.
+    """Realised task durations for a provider.
 
     Parameters
     ----------
@@ -83,25 +83,14 @@ class TaskDurationModel:
         self.external_store = external_store or ExternalStore()
         self._rng = np.random.default_rng(rng)
 
-    def sample(self, stage: StageSpec, kind: InstanceKind) -> float:
-        """Realised duration of one task of ``stage`` on a ``kind`` worker."""
-        expected = self.expected(stage, kind)
-        noise = self._rng.normal(0.0, self.provider.noise_sigma)
-        # Truncate at +-3 sigma so a single unlucky draw cannot dominate.
-        noise = float(np.clip(noise, -3.0 * self.provider.noise_sigma,
-                              3.0 * self.provider.noise_sigma))
-        return max(expected * (1.0 + noise), 1e-3)
-
     def noise_block(self, n: int) -> np.ndarray:
         """Draw ``n`` truncated noise multipliers in one vectorized call.
 
-        ``Generator.normal(0, sigma, size=n)`` consumes the rng stream
-        bitwise-identically to ``n`` sequential scalar draws, and the
-        vectorized clip matches the scalar clip elementwise, so a block
-        drawn here equals the noise the scalar :meth:`sample` path would
-        have produced for the same ``n`` consecutive calls.  Presampling
-        schedulers and compiled plan runners draw one block per query at
-        submit time and consume it in task-start order.
+        Each multiplier is a zero-mean normal with the provider's
+        ``noise_sigma``, truncated at +-3 sigma so a single unlucky draw
+        cannot dominate.  Task schedulers and compiled plan runners draw
+        one block per query at submit time and consume it in task-start
+        order.
         """
         sigma = self.provider.noise_sigma
         block = self._rng.normal(0.0, sigma, size=n)
@@ -110,7 +99,7 @@ class TaskDurationModel:
 
     @staticmethod
     def realize(expected: float, noise: float) -> float:
-        """Apply one presampled noise multiplier to a noise-free duration."""
+        """Apply one noise multiplier to a noise-free duration."""
         return max(expected * (1.0 + noise), 1e-3)
 
     def expected(self, stage: StageSpec, kind: InstanceKind) -> float:

@@ -34,8 +34,20 @@ class TestTaskDurationModel:
     def test_noise_free_profile_is_deterministic(self):
         model = TaskDurationModel(AWS, rng=1)
         stage = make_uniform_query(10, 4.0).stages[0]
-        samples = {model.sample(stage, InstanceKind.VM) for _ in range(5)}
-        assert len(samples) == 1
+        expected = model.expected(stage, InstanceKind.VM)
+        samples = {
+            TaskDurationModel.realize(expected, noise)
+            for noise in model.noise_block(5).tolist()
+        }
+        assert samples == {expected}
+
+    def test_noise_block_truncates_at_three_sigma(self):
+        sigma = 0.2
+        model = TaskDurationModel(AWS.with_noise_sigma(sigma), rng=3)
+        block = model.noise_block(20_000)
+        assert np.abs(block).max() == pytest.approx(3.0 * sigma)
+        assert np.abs(block).max() <= 3.0 * sigma
+        assert abs(block.mean()) < 0.01
 
     def test_gcp_tasks_slower(self):
         gcp = get_provider("gcp").with_noise_sigma(0.0)

@@ -590,7 +590,7 @@ class Scenario:
     max_pending_admission: int | None = None
     #: Class-level decision reuse (False = the paper's per-query sizing).
     decision_reuse: bool = False
-    #: Submission path ("object", "presample" or "vector").
+    #: Submission path ("object" or "vector").
     submission: str = "object"
     #: Price tenant lease quotas into the sizing grid (Eq. 4 bounds).
     quota_priced_sizing: bool = False
@@ -760,7 +760,6 @@ def _scenarios() -> tuple[Scenario, ...]:
                 seed=3, sl_failure_rate=0.05, sl_failure_delay_s=5.0
             ),
             retry_policy=RetryPolicy(max_retries=4, backoff_base_s=2.0),
-            submission="presample",
         ),
         Scenario(
             name="faults-preemption-circuit-breaker",
@@ -779,7 +778,7 @@ def _scenarios() -> tuple[Scenario, ...]:
         ),
         # ----- vectorized submission core: its batch leasing path must
         # uphold every shared invariant (quotas, chargeback
-        # conservation, retry accounting) -- not just match presample
+        # conservation, retry accounting) -- not just match object
         # submission field-for-field (test_serving_faults pins that
         # equivalence).
         Scenario(

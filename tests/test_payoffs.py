@@ -273,7 +273,7 @@ SCENARIOS = {
 
 
 @functools.cache
-def arms(scenario: str, size: str, submission: str = "presample") -> dict:
+def arms(scenario: str, size: str, submission: str = "object") -> dict:
     """Every arm's report, replayed once per session."""
     return SCENARIOS[scenario](size == "quick", submission)
 

@@ -101,7 +101,7 @@ GOLDEN_REPORT_DIGESTS: dict[tuple[str, bool], dict[str, str]] = {
             "2078aee0c06ce8dc613cde9e918d6688f6e44e3a7fecad456a5a5fbcd11d8254"
         ),
     },
-    ("presample", False): {
+    ("object", False): {
         "served": (
             "b4de46852142d9ca3bcc3f4258969fbfa6f216e3443338f62b5df33c002d549e"
         ),
@@ -285,7 +285,7 @@ def report_digest(report) -> dict[str, str]:
     "submission, decision_reuse",
     [
         pytest.param("vector", True, id="columnar-vector"),
-        pytest.param("presample", False, id="columnar-object"),
+        pytest.param("object", False, id="columnar-object"),
     ],
 )
 def test_contended_replay_matches_golden(submission, decision_reuse):
@@ -299,7 +299,7 @@ def test_contended_replay_matches_golden(submission, decision_reuse):
     assert stats.work_steals > 0
     assert stats.leases_revoked > 0
     assert report.epochs_planned > 0
-    if submission == "presample":
+    if submission == "object":
         assert stats.coop_preemptions > 0
     assert (
         report_digest(report)

@@ -86,7 +86,6 @@ def replay(
     system_overrides: dict | None = None,
     **kwargs,
 ):
-    kwargs.setdefault("submission", "presample")
     simulator = ServingSimulator(
         build_uniform_system(seed, **(system_overrides or {})),
         slo_seconds=60.0,
@@ -185,11 +184,11 @@ class TestEngineEquivalence:
         assert reused.n_retrains > 0
 
     def test_vector_submission_with_planner_matches(self):
-        # Presample and vector submission consume the duration rng
+        # Object and vector submission consume the duration rng
         # stream identically.  A live planner adds epoch ticks and
         # pre-boots; both must match the pin, pre-warm ledger included.
         trace = make_trace(n_minutes=8.0)
-        for submission in ("presample", "vector"):
+        for submission in ("object", "vector"):
             report = replay(
                 trace,
                 decision_reuse=False,

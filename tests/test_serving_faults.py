@@ -788,11 +788,11 @@ def _dropped_fields(drop) -> tuple:
 
 
 class TestVectorizedSubmissionEquivalence:
-    """Compiled-plan vector submission == presample, faults included.
+    """Compiled-plan vector submission == object, faults included.
 
     Reuses the no-query-lost strategy: arbitrary multi-tenant traces
     with fault plans, retries, admission shedding and coalescing
-    windows.  Presample and vector submission consume the duration-model
+    windows.  Object and vector submission consume the duration-model
     rng stream identically, so they are compared field for field down
     to the per-query and per-drop records; three fixed scenarios are
     also pinned by digest to the replays the per-arrival event drain
@@ -852,21 +852,21 @@ class TestVectorizedSubmissionEquivalence:
     def test_pinned_digest(self, name):
         scenario = PINNED_FAULT_SCENARIOS[name]
         golden = DRAIN_GOLDENS["serving_faults"][name]
-        for submission in ("presample", "vector"):
+        for submission in ("object", "vector"):
             report = self._replay(scenario, submission)
             assert report_digest(report) == golden
 
     @given(scenario=_fault_scenarios())
     @REPLAY_SETTINGS
-    def test_vector_replay_matches_presample(self, scenario):
-        presample = self._replay(scenario, "presample")
+    def test_vector_replay_matches_object(self, scenario):
+        reference = self._replay(scenario, "object")
         vector = self._replay(scenario, "vector")
-        assert _replay_signature(presample) == _replay_signature(vector)
-        assert len(presample.served) == len(vector.served)
-        for a, b in zip(presample.served, vector.served):
+        assert _replay_signature(reference) == _replay_signature(vector)
+        assert len(reference.served) == len(vector.served)
+        for a, b in zip(reference.served, vector.served):
             assert _served_fields(a) == _served_fields(b)
-        assert len(presample.dropped) == len(vector.dropped)
-        for a, b in zip(presample.dropped, vector.dropped):
+        assert len(reference.dropped) == len(vector.dropped)
+        for a, b in zip(reference.dropped, vector.dropped):
             assert _dropped_fields(a) == _dropped_fields(b)
 
 
@@ -900,7 +900,7 @@ class TestLazyPlanCounters:
     before it.  Every instance must end with bitwise the counters that
     marking each task at its start gives -- the :class:`_EagerMarks`
     reference and, where no kill lands exactly on a task start, the
-    per-task scheduler of presample submission -- through revocations,
+    per-task scheduler of object submission -- through revocations,
     retries, stragglers and single-wave grants alike.
     """
 
@@ -957,7 +957,7 @@ class TestLazyPlanCounters:
         )
         lazy, _ = self._counters(seed, "vector", plan)
         assert lazy == self._eager(seed, plan)[0]
-        reference = self._counters(seed, "presample", plan)[0]
+        reference = self._counters(seed, "object", plan)[0]
         assert lazy == reference
         assert (
             hashlib.sha256(repr(reference).encode()).hexdigest()
