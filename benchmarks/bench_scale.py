@@ -36,8 +36,8 @@ Measured (and merged into ``BENCH_scale.json``, schema v2, one slot per
 Asserted in every mode (CI runs ``--quick`` on both inference engines):
 
 - the vector core reproduces the per-query reference report field for
-  field on the FULL trace, and vector submission reproduces presample
-  submission with decision reuse off on the baseline prefix;
+  field on the FULL trace, and the per-query baseline (decision reuse
+  off) on its prefix;
 - peak RSS stays under a mode-sized ceiling -- unchanged from the
   per-query columnar replay: the streaming report and the bounded
   history window keep replay memory flat in trace length;
@@ -347,12 +347,11 @@ def main(argv: list[str] | None = None) -> int:
     # Reference leg: the pre-PR per-query path (one TaskScheduler
     # object and one heap event per task), rate-representative of the
     # committed columnar slot and the basis the vector core's speedup
-    # is banded against (same trace, same machine, same run).  It runs
-    # with ``submission="presample"`` -- identical scheduler objects,
-    # noise drawn per query in one block -- so its report is *bitwise*
-    # comparable to the vector leg's even when queries overlap (the
-    # object path interleaves concurrent queries' rng draws).
-    simulator = build_simulator(keep_queries=False, submission="presample")
+    # is banded against (same trace, same machine, same run).  Both
+    # substrates draw each query's noise in one block at submit, so its
+    # report is *bitwise* comparable to the vector leg's even when
+    # queries overlap.
+    simulator = build_simulator(keep_queries=False)
     started = time.perf_counter()
     streaming = simulator.replay_multi(pairs, knob=KNOB, mode="vm-only")
     columnar_s = time.perf_counter() - started
@@ -406,7 +405,9 @@ def main(argv: list[str] | None = None) -> int:
     n_prefix = sum(len(trace) for _, trace in baseline_pairs)
     simulator = build_simulator(keep_queries=True, decision_reuse=False)
     started = time.perf_counter()
-    simulator.replay_multi(baseline_pairs, knob=KNOB, mode="vm-only")
+    per_query = simulator.replay_multi(
+        baseline_pairs, knob=KNOB, mode="vm-only"
+    )
     per_query_s = time.perf_counter() - started
     per_query_rate = n_prefix / per_query_s
     speedup = columnar_rate / per_query_rate
@@ -417,18 +418,15 @@ def main(argv: list[str] | None = None) -> int:
     )
 
     # Equivalence: with reuse off, the full vectorized stack (compiled
-    # plans + batch leasing) must reproduce presample submission -- the
-    # locked noise convention -- on the same prefix, field for field.
-    presample = build_simulator(
-        keep_queries=True, decision_reuse=False, submission="presample"
-    ).replay_multi(baseline_pairs, knob=KNOB, mode="vm-only")
+    # plans + batch leasing) must reproduce the per-query baseline on the
+    # same prefix, field for field.
     vector_exact = build_simulator(
         keep_queries=True, decision_reuse=False, submission="vector"
     ).replay_multi(baseline_pairs, knob=KNOB, mode="vm-only")
-    assert report_signature(vector_exact) == report_signature(presample), (
-        "vector core diverged from presample submission on the prefix"
+    assert report_signature(vector_exact) == report_signature(per_query), (
+        "vector core diverged from per-query submission on the prefix"
     )
-    print("  equivalence ok: vector == presample on the baseline prefix")
+    print("  equivalence ok: vector == object on the baseline prefix")
 
     if not args.quick:
         assert speedup >= 10.0, (
@@ -483,7 +481,7 @@ def main(argv: list[str] | None = None) -> int:
         "columnar": {
             "n_arrivals": n_arrivals,
             "n_tenants": len(pairs),
-            "submission": "presample",
+            "submission": "object",
             "wall_s": columnar_s,
             "arrivals_per_sec": columnar_rate,
         },

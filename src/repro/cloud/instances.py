@@ -102,15 +102,6 @@ class Instance:
         self.busy_seconds += duration
         self.tasks_executed += 1
 
-    @property
-    def is_available(self) -> bool:
-        """Whether the scheduler may place new tasks here."""
-        return self.state is InstanceState.RUNNING
-
-    @property
-    def is_alive(self) -> bool:
-        return self.state not in (InstanceState.TERMINATED,)
-
     def deployed_seconds(self, now: float) -> float:
         """Wall-clock seconds this instance has existed (spawn to end)."""
         end = self.terminate_time if self.terminate_time is not None else now

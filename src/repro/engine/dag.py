@@ -15,9 +15,6 @@ import dataclasses
 
 __all__ = ["StageSpec", "QuerySpec"]
 
-_GB = 1024.0**3
-_MB = 1024.0**2
-
 
 @dataclasses.dataclass(frozen=True)
 class StageSpec:
@@ -140,10 +137,6 @@ class QuerySpec:
         return sum(
             stage.n_tasks * stage.task_compute_seconds for stage in self.stages
         )
-
-    @property
-    def input_bytes(self) -> float:
-        return self.input_gb * _GB
 
     @property
     def critical_path_length(self) -> int:

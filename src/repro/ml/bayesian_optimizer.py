@@ -300,10 +300,6 @@ class BOResult:
     def explored_points(self) -> list[tuple[float, ...]]:
         return [probe.point for probe in self.history]
 
-    @property
-    def explored_values(self) -> list[float]:
-        return [probe.value for probe in self.history]
-
 
 class BayesianOptimizer:
     """Maximise a black-box function over a finite candidate set.

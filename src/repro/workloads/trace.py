@@ -155,14 +155,6 @@ class ColumnarTrace:
             if count
         }
 
-    def event(self, index: int) -> TraceEvent:
-        """Materialise arrival ``index`` as a :class:`TraceEvent`."""
-        return TraceEvent(
-            arrival_s=float(self.arrival_s[index]),
-            query_id=self.query_ids[int(self.query_index[index])],
-            input_gb=float(self.input_gb[index]),
-        )
-
     def head(self, n: int) -> "ColumnarTrace":
         """The first ``n`` arrivals (baseline subsampling in benches)."""
         if n < 0:
@@ -190,12 +182,6 @@ class ColumnarTrace:
                 [event.input_gb for event in trace.events], dtype=np.float64
             ),
             query_ids=tuple(ids),
-        )
-
-    def to_trace(self) -> WorkloadTrace:
-        """Materialise every arrival (small traces / debugging only)."""
-        return WorkloadTrace(
-            events=tuple(self.event(i) for i in range(len(self)))
         )
 
 
