@@ -14,8 +14,10 @@ largest objective value observed so far.
 The Gaussian cdf is :func:`scipy.special.ndtr` -- the function
 ``scipy.stats.norm.cdf`` evaluates underneath, without the distribution
 wrapper's per-call argument handling (the BO loop scores candidates on
-every probe).  EI's pdf comes from :mod:`scipy.stats`, imported on
-first use: no PI search loads it.
+every probe).  It is imported on first use, as EI's pdf from
+:mod:`scipy.stats` is: Smartpick's own PI searches run whole in the
+native ``bo_search`` with a bitwise port of ``ndtr``
+(:mod:`repro.ml.forest_native`), so they load neither.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ from __future__ import annotations
 import abc
 
 import numpy as np
-from scipy.special import ndtr
 
 __all__ = [
     "AcquisitionFunction",
@@ -67,6 +68,8 @@ class ProbabilityOfImprovement(AcquisitionFunction):
     def __call__(
         self, mean: np.ndarray, std: np.ndarray, best_value: float
     ) -> np.ndarray:
+        from scipy.special import ndtr
+
         mean = np.asarray(mean, dtype=np.float64)
         std = np.maximum(np.asarray(std, dtype=np.float64), 1e-12)
         z = (mean - best_value - self.xi) / std
@@ -87,6 +90,7 @@ class ExpectedImprovement(AcquisitionFunction):
     def __call__(
         self, mean: np.ndarray, std: np.ndarray, best_value: float
     ) -> np.ndarray:
+        from scipy.special import ndtr
         from scipy.stats import norm
 
         mean = np.asarray(mean, dtype=np.float64)

@@ -34,8 +34,9 @@ Smartpick's own searches have a fixed objective, a table of ``RF_t`` per
 candidate plus the Eq. 2 noise, and use PI.  :func:`search_table` runs
 such a search whole in the kernel's ``bo_search``, one ctypes call per
 search, drawing from the caller's generator through numpy's own samplers
-and scoring with scipy's own ``ndtr``: the same probes, incumbent and
-generator end state as ``maximize`` on the native posterior.
+and scoring with the kernel's bitwise port of scipy's ``ndtr``: the same
+probes, incumbent and generator end state as ``maximize`` on the native
+posterior, and no :mod:`scipy` module loaded.
 
 The optimizer records every probe in :attr:`BOResult.history`; Smartpick's
 tradeoff knob later traverses that list (the paper's *Estimated Time list*,
@@ -50,7 +51,6 @@ import math
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import ndtr
 
 from repro.ml import forest_native
 from repro.ml.acquisition import AcquisitionFunction, ProbabilityOfImprovement
@@ -504,6 +504,8 @@ class BayesianOptimizer:
         :meth:`NativePosterior.observe_and_score`)."""
         if n_remaining == 0:
             return -1
+        from scipy.special import ndtr
+
         surrogate = self._surrogate
         scores = ndtr(surrogate.remaining_z[:n_remaining])
         return int(surrogate.remaining[self._argmax(scores)])
@@ -531,19 +533,19 @@ def search_table(
     ``-(table[i] + delta)`` with ``delta = rng.normal(0, 0.01 *
     max(table[i], 1))``.  The compiled ``bo_search`` runs the whole loop
     -- initial design, noise, stall rules, posterior, PI and its tie
-    draws -- with numpy's own samplers on ``rng``'s bit generator and
-    scipy's own ``ndtr``, so the probes, the incumbent, the convergence
-    flag and ``rng``'s end state are those of ``maximize`` with the same
-    arguments, that objective and the default :data:`NOISE`.  The
-    initial design is drawn here, with the same ``rng.choice`` call.  The
-    bit generator's lock is held through the call, as ``rng``'s own
-    methods hold it.
+    draws -- with numpy's own samplers on ``rng``'s bit generator and the
+    kernel's bitwise port of scipy's ``ndtr``, so the probes, the
+    incumbent, the convergence flag and ``rng``'s end state are those of
+    ``maximize`` with the same arguments, that objective and the default
+    :data:`NOISE`.  The initial design is drawn here, with the same
+    ``rng.choice`` call.  The bit generator's lock is held through the
+    call, as ``rng``'s own methods hold it.
 
     Returns the probed candidates in order followed by the incumbent,
     and the convergence flag; or ``None`` when this search cannot stand
-    in for ``maximize``: no ``bo_search`` or no scipy ``ndtr`` in the
-    loaded kernel, an acquisition other than PI, a non-finite table
-    entry, or arguments ``maximize`` rejects (it raises for those).
+    in for ``maximize``: no ``bo_search`` in the loaded kernel, an
+    acquisition other than PI, a non-finite table entry, or arguments
+    ``maximize`` rejects (it raises for those).
     """
     kernel = forest_native.load_kernel()
     search = None if kernel is None else kernel.bo_search
@@ -552,7 +554,6 @@ def search_table(
     if (
         search is None
         or type(acquisition) is not ProbabilityOfImprovement
-        or kernel.ndtr is None
         or n == 0
         or np.shape(gram) != (n, n)
         or min(n_initial, patience, max_iterations) < 1
@@ -580,7 +581,6 @@ def search_table(
             _nugget(NOISE),
             acquisition.xi,
             bit_generator.ctypes.bit_generator,
-            kernel.ndtr,
             out.ctypes.data,
             schur.ctypes.data,
         )

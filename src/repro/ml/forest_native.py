@@ -56,27 +56,27 @@ A fifth, ``bo_search``, runs a whole PI search of
 initial-design queue, Smartpick's Eq. 2 noise, the improvement and
 patience rules, ``bo_step``'s posterior update and z-scores, PI and the
 randomised argmax, over buffers it allocates per call.  Its random draws
-and its Gaussian cdf are not re-implementations:
+and its Gaussian cdf are bitwise the Python loop's:
 
 - numpy's static ``numpy/random/lib/libnpyrandom.a`` is linked in, and
   ``random_normal`` / ``random_bounded_uint64_fill`` (the samplers
   behind ``Generator.normal`` and ``Generator.integers``) are called on
   the generator's own ``bitgen_t``, declared by hand
   (:data:`_NPYRANDOM_API`) so no Python header is needed;
-- ``ndtr`` is scipy's, the function pointer in the
-  ``scipy.special.cython_special`` capsule ``__pyx_fuse_1ndtr``, taken
-  only when the capsule's signature is exactly :data:`_NDTR_SIGNATURE`.
+- ``ndtr`` is a port of the Cephes code behind
+  :func:`scipy.special.ndtr` (``erf``, ``erfc`` and their rational
+  approximations, in Cephes' operation order with libm's ``exp``), so a
+  search loads no :mod:`scipy` module.  The library exports it, built
+  with or without ``bo_search``.
 
 The library's cache key covers numpy's version and the archive's bytes.
-Without the archive or when that link fails, ``bo_search`` is ``None``;
-without a matching capsule, ``ndtr`` is.  Either way the other four
-entry points still load and searches run in Python.
+Without the archive or when that link fails, ``bo_search`` is ``None``,
+the other four entry points still load and searches run in Python.
 """
 
 from __future__ import annotations
 
 import ctypes
-import functools
 import hashlib
 import os
 import subprocess
@@ -663,6 +663,109 @@ int64_t cart_grow(
 }
 
 /* ------------------------------------------------------------------ */
+/* Gaussian cdf: scipy.special.ndtr                                    */
+/* ------------------------------------------------------------------ */
+
+/* scipy's ndtr is the Cephes code (xsf::cephes): ndtr, erf and erfc
+ * with their rational approximations, polevl / p1evl and libm's exp.
+ * This is that code in its operation order, less the error reporting
+ * and the erf / erfc branches ndtr never reaches, so every result is
+ * bitwise scipy.special.ndtr's (tests/test_native_bo_search.py). */
+
+/* erfc(x) = exp(-x^2) P(x) / Q(x), 1 <= x < 8 */
+static const double ndtr_P[] = {
+    2.46196981473530512524E-10, 5.64189564831068821977E-1,
+    7.46321056442269912687E0, 4.86371970985681366614E1,
+    1.96520832956077098242E2, 5.26445194995477358631E2,
+    9.34528527171957607540E2, 1.02755188689515710272E3,
+    5.57535335369399327526E2};
+static const double ndtr_Q[] = {  /* leading 1 implied (p1evl) */
+    1.32281951154744992508E1, 8.67072140885989742329E1,
+    3.54937778887819891062E2, 9.75708501743205489753E2,
+    1.82390916687909736289E3, 2.24633760818710981792E3,
+    1.65666309194161350182E3, 5.57535340817727675546E2};
+/* erfc(x) = exp(-x^2) R(x) / S(x), x >= 8 */
+static const double ndtr_R[] = {
+    5.64189583547755073984E-1, 1.27536670759978104416E0,
+    5.01905042251180477414E0, 6.16021097993053585195E0,
+    7.40974269950448939160E0, 2.97886665372100240670E0};
+static const double ndtr_S[] = {  /* leading 1 implied (p1evl) */
+    2.26052863220117276590E0, 9.39603524938001434673E0,
+    1.20489539808096656605E1, 1.70814450747565897222E1,
+    9.60896809063285878198E0, 3.36907645100081516050E0};
+/* erf(x) = x T(x^2) / U(x^2), 0 <= x <= 1 */
+static const double ndtr_T[] = {
+    9.60497373987051638749E0, 9.00260197203842689217E1,
+    2.23200534594684319226E3, 7.00332514112805075473E3,
+    5.55923013010394962768E4};
+static const double ndtr_U[] = {  /* leading 1 implied (p1evl) */
+    3.35617141647503099647E1, 5.21357949780152679795E2,
+    4.59432382970980127987E3, 2.26290000613890934246E4,
+    4.92673942608635921086E4};
+
+/* log(DBL_MAX): exp(-x^2) underflows to zero below -MAXLOG. */
+#define MAXLOG 7.09782712893383996843E2
+#ifndef M_SQRT1_2
+#define M_SQRT1_2 0.70710678118654752440084436210484903928
+#endif
+
+/* coef[0] x^n + ... + coef[n], by Horner's rule. */
+static double polevl(double x, const double *coef, int n)
+{
+    double ans = *coef++;
+    do ans = ans * x + *coef++; while (--n);
+    return ans;
+}
+
+/* As polevl with an implied leading coefficient of 1. */
+static double p1evl(double x, const double *coef, int n)
+{
+    double ans = x + *coef++;
+    --n;
+    do ans = ans * x + *coef++; while (--n);
+    return ans;
+}
+
+/* Cephes' erf for |x| <= 1, the only arguments ndtr and ndtr_erfc pass
+ * (its 1 - erfc branch for |x| > 1 never runs).  Cephes returns
+ * -erf(-x) for x < 0; round-to-nearest is sign-symmetric, so x T / U
+ * is that value bit for bit. */
+static double ndtr_erf(double x)
+{
+    const double z = x * x;
+    return x * polevl(z, ndtr_T, 4) / p1evl(z, ndtr_U, 5);
+}
+
+/* Cephes' erfc for x >= 0, the only arguments ndtr passes (its
+ * branches for a negative argument never run). */
+static double ndtr_erfc(double x)
+{
+    if (x < 1.0) return 1.0 - ndtr_erf(x);
+    double z = -x * x;
+    if (z < -MAXLOG) return 0.0;
+    z = exp(z);
+    double p, q;
+    if (x < 8.0) {
+        p = polevl(x, ndtr_P, 8);
+        q = p1evl(x, ndtr_Q, 8);
+    } else {
+        p = polevl(x, ndtr_R, 5);
+        q = p1evl(x, ndtr_S, 6);
+    }
+    return (z * p) / q;
+}
+
+double ndtr(double a)
+{
+    if (isnan(a)) return NAN;
+    const double x = a * M_SQRT1_2;
+    const double z = fabs(x);
+    if (z < M_SQRT1_2) return 0.5 + 0.5 * ndtr_erf(x);
+    const double y = 0.5 * ndtr_erfc(z);
+    return x > 0 ? 1.0 - y : y;
+}
+
+/* ------------------------------------------------------------------ */
 /* Whole PI search (repro.ml.bayesian_optimizer.search_table)          */
 /* ------------------------------------------------------------------ */
 
@@ -676,8 +779,8 @@ int64_t cart_grow(
  * -(RF_t + delta); the 1 % improvement and patience rules update the
  * incumbent and the stall count; bo_step conditions the posterior and,
  * once the design is spent, scores the unprobed candidates; ndtr (the
- * scipy.special.cython_special function) turns z-scores into PI, and
- * the pick is the maximum, ties broken by Generator.integers' draw.
+ * port above, bitwise scipy's) turns z-scores into PI, and the pick
+ * is the maximum, ties broken by Generator.integers' draw.
  *
  * out[0] receives the converged flag, out[1..count] the probes and
  * out[count + 1] the incumbent; the return value is count.  Errors:
@@ -690,7 +793,7 @@ int64_t bo_search(
     const int64_t *initial, int64_t n_initial,
     int64_t max_iterations, double threshold, int64_t patience,
     double nugget, double xi,
-    bitgen_t *bitgen, double (*ndtr)(double, int),
+    bitgen_t *bitgen,
     int64_t *out,                 /* (min(max_iterations, n) + 2,) */
     double *schur)
 {
@@ -732,7 +835,7 @@ int64_t bo_search(
             double top = -INFINITY;
             int64_t ties = 0;
             for (int64_t k = 0; k < n_remaining; ++k) {
-                scores[k] = ndtr(scores[k], 0);
+                scores[k] = ndtr(scores[k]);
                 if (isnan(scores[k])) { status = -3; break; }
                 if (scores[k] > top) { top = scores[k]; ties = 0; }
                 ties += scores[k] == top;
@@ -848,37 +951,6 @@ def _npyrandom_archive() -> str | None:
     return path if os.path.isfile(path) else None
 
 
-#: The C signature of ``scipy.special.cython_special``'s float64 ``ndtr``.
-_NDTR_SIGNATURE = b"double (double, int __pyx_skip_dispatch)"
-
-
-def _ndtr_address() -> int | None:
-    """The address of scipy's own float64 ``ndtr``, or ``None``.
-
-    It is read from the ``__pyx_fuse_1ndtr`` capsule of
-    ``scipy.special.cython_special``, the function the ``ndtr`` ufunc's
-    float64 loop calls, and only when the capsule carries exactly the
-    signature the search calls it with.
-    """
-    try:
-        from scipy.special import cython_special
-
-        capsule = cython_special.__pyx_capi__["__pyx_fuse_1ndtr"]
-    except (ImportError, AttributeError, KeyError):
-        return None
-    # Private prototypes: the shared ctypes.pythonapi functions keep
-    # whatever argtypes other code gave them.
-    is_valid = ctypes.PYFUNCTYPE(ctypes.c_int, ctypes.py_object, ctypes.c_char_p)(
-        ("PyCapsule_IsValid", ctypes.pythonapi)
-    )
-    if not is_valid(capsule, _NDTR_SIGNATURE):
-        return None
-    get_pointer = ctypes.PYFUNCTYPE(
-        ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p
-    )(("PyCapsule_GetPointer", ctypes.pythonapi))
-    return get_pointer(capsule, _NDTR_SIGNATURE)
-
-
 def _library_path() -> str:
     """The cached library's path, keyed by everything built into it.
 
@@ -910,7 +982,7 @@ def _build(compiler: str, library: str) -> bool:
     entry points still load.
     """
     # (defines, link inputs) per attempt, the linked build first.
-    attempts = [([], [])]
+    attempts = [([], ["-lm"])]
     archive = _npyrandom_archive()
     if archive is not None:
         attempts.insert(0, (["-DREPRO_BO_SEARCH"], [archive, "-lm"]))
@@ -1004,8 +1076,7 @@ class _Kernel:
     """The compiled library's entry points (see :data:`_SOURCE`).
 
     ``bo_search`` takes data addresses, as :attr:`_Entry.raw` does, and
-    is ``None`` when the library was built without ``libnpyrandom``; it
-    runs only with :attr:`ndtr`.
+    is ``None`` when the library was built without ``libnpyrandom``.
     """
 
     def __init__(self, lib: ctypes.CDLL) -> None:
@@ -1090,19 +1161,10 @@ class _Kernel:
                 ctypes.c_double,  # nugget
                 ctypes.c_double,  # xi
                 ctypes.c_void_p,  # bitgen_t *
-                ctypes.c_void_p,  # ndtr
                 ctypes.c_void_p,  # out (int64)
                 ctypes.c_void_p,  # schur out (float64)
             ]
             self.bo_search.restype = ctypes.c_int64
-
-    @functools.cached_property
-    def ndtr(self) -> int | None:
-        """The address of scipy's ``ndtr`` (:func:`_ndtr_address`), or
-        ``None``.  Looked up on first use: the capsule's module costs
-        about 1 MB of memory, which a process that never searches does
-        not pay."""
-        return _ndtr_address()
 
 
 def load_kernel() -> _Kernel | None:

@@ -3,17 +3,19 @@
 ``WorkloadPredictor.determine`` runs its whole PI search in one call of
 the kernel's ``bo_search`` (:func:`repro.ml.bayesian_optimizer.search_table`).
 The search draws from the predictor's generator through numpy's static
-``libnpyrandom`` and scores PI through scipy's ``ndtr`` capsule, so:
+``libnpyrandom`` and scores PI with the kernel's own port of scipy's
+``ndtr``, so:
 
-- the capsule's ``ndtr`` must be bitwise ``scipy.special.ndtr``, and the
-  linked samplers must leave the bit generator where ``Generator``'s own
-  ``normal`` / ``integers`` calls leave it;
+- the kernel's ``ndtr`` must be bitwise ``scipy.special.ndtr`` on every
+  branch of the Cephes code, and the linked samplers must leave the bit
+  generator where ``Generator``'s own ``normal`` / ``integers`` calls
+  leave it;
 - the call must hold the bit generator's lock, as the generator's own
   methods do (``core/rpc.py`` serves ``determine`` from threads);
-- without the archive, with a failed link or without a matching capsule,
-  the library still loads its other entry points and ``determine``
-  falls back to :meth:`BayesianOptimizer.maximize` with the same
-  decisions (the golden digest of ``tests/test_determine_golden.py``);
+- without the archive or with a failed link, the library still loads
+  its other entry points and ``determine`` falls back to
+  :meth:`BayesianOptimizer.maximize` with the same decisions (the golden
+  digest of ``tests/test_determine_golden.py``);
 - a search that fails raises what ``maximize`` raises, after the same
   draws.
 """
@@ -26,7 +28,7 @@ import threading
 
 import numpy as np
 import pytest
-from scipy.special import cython_special, ndtr
+from scipy.special import ndtr
 
 from repro.ml import forest_native
 from repro.ml.acquisition import ProbabilityOfImprovement
@@ -42,7 +44,7 @@ from test_determine_golden import (
 KERNEL = forest_native.load_kernel()
 native_only = pytest.mark.skipif(KERNEL is None, reason="native kernel unavailable")
 search_only = pytest.mark.skipif(
-    KERNEL is None or KERNEL.bo_search is None or KERNEL.ndtr is None,
+    KERNEL is None or KERNEL.bo_search is None,
     reason="native BO search unavailable",
 )
 
@@ -86,18 +88,6 @@ def test_failed_npyrandom_link_degrades(monkeypatch, tmp_path):
     )
 
 
-@native_only
-@pytest.mark.parametrize("capsule", ["missing", "other signature"])
-def test_unmatched_ndtr_capsule_degrades(monkeypatch, capsule):
-    capi = cython_special.__pyx_capi__
-    if capsule == "missing":
-        monkeypatch.delitem(capi, "__pyx_fuse_1ndtr")
-    else:
-        # The complex ndtr: same name family, another C signature.
-        monkeypatch.setitem(capi, "__pyx_fuse_1ndtr", capi["__pyx_fuse_0ndtr"])
-    _assert_degrades_to_maximize(_reload(monkeypatch), "ndtr")
-
-
 def test_library_key_covers_numpy_and_the_archive(monkeypatch, tmp_path):
     # libnpyrandom is linked in statically: a numpy upgrade or another
     # archive must build another library, not load stale draw code.
@@ -120,7 +110,7 @@ def test_library_key_covers_numpy_and_the_archive(monkeypatch, tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# The linked samplers and the capsule's ndtr, driven from C.
+# The linked samplers and the kernel's ndtr, driven from C.
 # ---------------------------------------------------------------------------
 
 _CALLERS = r"""
@@ -140,9 +130,9 @@ void draw(bitgen_t *bitgen, const int64_t *kinds, int64_t n, double *out)
     }
 }
 
-void apply(double (*f)(double, int), const double *x, int64_t n, double *out)
+void apply(double (*f)(double), const double *x, int64_t n, double *out)
 {
-    for (int64_t i = 0; i < n; ++i) out[i] = f(x[i], 0);
+    for (int64_t i = 0; i < n; ++i) out[i] = f(x[i]);
 }
 """
 
@@ -153,7 +143,7 @@ def callers(tmp_path_factory):
     linked against the same archive."""
     archive = forest_native._npyrandom_archive()
     compiler = forest_native._compiler()
-    if KERNEL is None or KERNEL.ndtr is None or archive is None or compiler is None:
+    if KERNEL is None or archive is None or compiler is None:
         pytest.skip("native BO search unavailable")
     workdir = tmp_path_factory.mktemp("callers")
     source = workdir / "callers.c"
@@ -172,15 +162,51 @@ def callers(tmp_path_factory):
     return lib
 
 
-def test_capsule_ndtr_is_the_ufunc_bitwise(callers):
-    values = np.concatenate([
-        [np.inf, -np.inf, np.nan, 0.0, -0.0],
-        np.linspace(-40.0, 40.0, 80_001),
-        np.random.default_rng(0).normal(0.0, 10.0, 10**6),
-    ])
-    out = np.empty_like(values)
-    callers.apply(KERNEL.ndtr, values.ctypes.data, values.size, out.ctypes.data)
-    assert out.view(np.uint64).tobytes() == ndtr(values).view(np.uint64).tobytes()
+def _ndtr_sweep(rng):
+    """At least 10M points over every branch of Cephes' ``ndtr``, in
+    chunks of at most 1M."""
+    sqrt2 = np.sqrt(2.0)
+    tiny = np.finfo(np.float64).tiny
+    specials = [np.inf, -np.inf, np.nan, -np.nan, 0.0, -0.0, tiny, -tiny,
+                5e-324, -5e-324, tiny / 3.0, -tiny / 3.0]
+    nan_payload = np.array([0x7FF0000000000001, 0xFFF8000000000123],
+                           dtype=np.uint64).view(np.float64)
+    yield np.concatenate([specials, nan_payload, rng.uniform(-tiny, tiny, 1000)])
+    yield from (rng.normal(0.0, 1.0, 10**6) for _ in range(2))
+    yield from (rng.normal(0.0, 10.0, 10**6) for _ in range(2))
+    yield from (rng.uniform(-40.0, 40.0, 10**6) for _ in range(2))
+    # Magnitudes from 1e-20 to 1e2 (erf's tiny-x end and the far tails).
+    for _ in range(2):
+        sign = rng.choice([-1.0, 1.0], 10**6)
+        yield sign * 10.0 ** rng.uniform(-20.0, 2.0, 10**6)
+    # ndtr's erf/erfc switch (|a| = 1), erf's and erfc's own switch
+    # (|a| = sqrt 2), erfc's P/Q to R/S split (|a| = 8 sqrt 2) and the
+    # exp underflow (|a| = sqrt(2 MAXLOG), about 37.7): dense sweeps,
+    # and the ulps either side of each edge, on both signs.
+    for edge in (1.0, sqrt2, 8.0 * sqrt2, np.sqrt(2.0 * 709.782712893384)):
+        sweep = edge + np.linspace(-0.01, 0.01, 500_001)
+        ulps = np.nextafter(edge, np.inf) - edge
+        sweep = np.concatenate([sweep, edge + ulps * np.arange(-500, 501)])
+        yield np.concatenate([sweep, -sweep])
+
+
+@native_only
+def test_kernel_ndtr_is_the_ufunc_bitwise(callers):
+    # The library both load_kernel and this handle open: one mapping.
+    address = ctypes.cast(
+        ctypes.CDLL(forest_native._library_path()).ndtr, ctypes.c_void_p
+    ).value
+    checked = 0
+    for values in _ndtr_sweep(np.random.default_rng(0)):
+        out = np.empty_like(values)
+        callers.apply(address, values.ctypes.data, values.size, out.ctypes.data)
+        expected = ndtr(values)
+        mismatched = out.view(np.uint64) != expected.view(np.uint64)
+        assert not mismatched.any(), (
+            values[mismatched][:5], out[mismatched][:5], expected[mismatched][:5]
+        )
+        checked += values.size
+    assert checked >= 10**7
 
 
 def test_linked_draws_leave_the_generator_state_of_its_own_calls(callers):

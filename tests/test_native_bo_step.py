@@ -208,9 +208,7 @@ def _crafted_trees(kind: str, n: int) -> np.ndarray:
     return -np.array(levels)[rng.integers(0, len(levels), n)][None, :]
 
 
-NATIVE_SEARCH = (
-    KERNEL is not None and KERNEL.bo_search is not None and KERNEL.ndtr is not None
-)
+NATIVE_SEARCH = KERNEL is not None and KERNEL.bo_search is not None
 _ARMS = (
     ("native loop",) if NATIVE_SEARCH else ()
 ) + (
